@@ -3,7 +3,9 @@
 // placement on the modeled 10-node quad-core 1 GbE cluster.
 //
 // Paper setup (§III-D): synchronization throttle 0.5 s (2 rounds/s),
-// N = 5000, rate measured at the splitting operator.  Expected shape:
+// N = 5000, rate measured at the splitting operator.  The measured rows
+// carry that split rate next to the end-to-end one: tuples the engines
+// applied per second from the first emit to the last apply.  Expected shape:
 // distributed placement wins as engines grow, peaks at ~2 engines/node
 // (20 engines on 10 nodes), degrades at 30 (interconnect saturation);
 // single-node placement plateaus near its core count without degrading
@@ -13,10 +15,14 @@
 // machine before simulating (default uses the paper-era constants; see
 // cluster/cost_model.h).
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -37,13 +43,28 @@ namespace {
 // --json <path>) so plots and regressions can consume the per-operator
 // breakdown the profiler tables in §III-D are built from.
 /// Steady-state pipeline summary: one row per engine count, carrying the
-/// two hot-path numbers (split-side tuples/sec and whole-process heap
-/// allocations per tuple) that BENCH_fig6.json tracks across PRs.
+/// hot-path numbers (split-side tuples/sec, end-to-end applied tuples/sec,
+/// time to result and whole-process heap allocations per tuple) that
+/// BENCH_fig6.json tracks across PRs.
 ///
 /// Methodology:
-///  - `tuples_per_sec` is the best of kTrials identical runs: the box the
-///    bench runs on is often a single core, so one run's number is mostly a
-///    scheduler roll; the max is the stable upper envelope.
+///  - `tuples_per_sec` is the split operator's enqueue rate (what
+///    check_regression.py gates), the best of kTrials identical runs: the
+///    box the bench runs on is often a single core, so one run's number is
+///    mostly a scheduler roll; the max is the stable upper envelope.
+///  - `applied_tps` is engine-applied tuples / (first emit -> last apply)
+///    and `time_to_result_s` is first emit -> wait() returned, each the
+///    best of kTrials separate timed runs.  First emit is taken at start():
+///    the replay source is unpaced and emits as soon as its thread runs.
+///    The last apply is when a 200 us poll of engine_stats() first reads
+///    the final applied count.  The poll runs only in the timed runs: at
+///    e >= 2 the split enqueues all N tuples in about 2 ms, and a poller
+///    thread competing for the cores halved its rate.
+///  - Each split-rate and timed run starts after kSettle of idle time.
+///    Until pipelines stopped promptly, every run ended with a mostly idle
+///    0.5 s sync-throttle tail, and the committed split rates were measured
+///    that way; run back to back, the same code read about half the split
+///    rate at e >= 2, b = 8 on a 4-vCPU VM.
 ///  - `allocs_per_tuple` is the *marginal steady-state* allocation rate,
 ///    measured differentially: two runs identical except for stream length,
 ///    (allocs_long - allocs_base) / extra_tuples.  Fixed startup costs
@@ -57,6 +78,8 @@ struct MeasuredRow {
   std::size_t engines = 0;
   std::size_t batch_max = 1;  ///< engine micro-batch cap (DESIGN.md)
   double tuples_per_sec = 0.0;
+  double applied_tps = 0.0;
+  double time_to_result_s = 0.0;
   double allocs_per_tuple = 0.0;
   double sync_rounds = 0.0;
 };
@@ -64,28 +87,87 @@ struct MeasuredRow {
 /// One pipeline execution plus everything the reporting needs from it.
 struct RunResult {
   double tps = 0.0;
+  double applied_tps = 0.0;
+  double time_to_result_s = 0.0;
   double rounds = 0.0;
   std::uint64_t allocs = 0;
-  std::string metrics;  ///< registry JSON (only when keep_metrics)
+  std::string metrics;  ///< registry JSON (split-rate runs only)
   astro::stream::RegistrySnapshot snap;
 };
 
+enum class RunKind {
+  kSplitRate,  ///< split rate + registry JSON
+  kTimed,      ///< applied rate and time to result (polls engine_stats())
+  kAllocs,     ///< allocation count only
+};
+
+/// One pipeline execution.  Only timed runs poll engine_stats(): each poll
+/// allocates and takes the engines' state locks.
 RunResult run_once(const astro::app::PipelineConfig& cfg,
                    const std::vector<astro::linalg::Vector>& data,
-                   bool keep_metrics) {
+                   RunKind kind) {
+  const bool timed = kind == RunKind::kTimed;
+  using Clock = std::chrono::steady_clock;
   astro::app::StreamingPcaPipeline p(cfg, data);
+  std::uint64_t applied = 0;
+  Clock::time_point last_apply{};
+  std::jthread poller;
   astro::perf::AllocWindow window;
-  p.run();
+  const auto t_start = Clock::now();
+  p.start();
+  if (timed) {
+    poller = std::jthread([&](std::stop_token st) {
+      for (;;) {
+        const bool last = st.stop_requested();
+        std::uint64_t sum = 0;
+        for (const auto& s : p.engine_stats()) sum += s.tuples;
+        if (sum != applied) {
+          applied = sum;
+          last_apply = Clock::now();
+        }
+        if (last) break;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+  p.wait();
+  const auto t_done = Clock::now();
   RunResult r;
   r.allocs = window.allocations();
+  if (timed) {
+    poller.request_stop();
+    poller.join();
+    const auto secs = [&](Clock::time_point t) {
+      return std::chrono::duration<double>(t - t_start).count();
+    };
+    r.applied_tps = double(applied) / secs(std::min(last_apply, t_done));
+    r.time_to_result_s = secs(t_done);
+  }
   r.tps = p.throughput();
   r.snap = p.metrics_registry().snapshot();
+  // Every emitted tuple is applied or quarantined; anything else means the
+  // rates above describe a different stream than the one emitted.
+  std::uint64_t engine_applied = 0;
+  for (const auto& s : p.engine_stats()) engine_applied += s.tuples;
+  const std::uint64_t quarantined =
+      p.validator() != nullptr ? p.validator()->quarantined() : 0;
+  const auto* source = r.snap.find_operator("source");
+  const std::uint64_t emitted = source != nullptr ? source->tuples_out : 0;
+  if (engine_applied + quarantined != emitted) {
+    std::fprintf(stderr,
+                 "fig6: conservation violated: applied %llu + quarantined "
+                 "%llu != emitted %llu\n",
+                 static_cast<unsigned long long>(engine_applied),
+                 static_cast<unsigned long long>(quarantined),
+                 static_cast<unsigned long long>(emitted));
+    std::abort();
+  }
   if (const auto* ctl = r.snap.find_operator("sync-controller")) {
     for (const auto& [k, v] : ctl->extras) {
       if (k == "rounds") r.rounds = v;
     }
   }
-  if (keep_metrics) r.metrics = p.metrics_json();
+  if (kind == RunKind::kSplitRate) r.metrics = p.metrics_json();
   return r;
 }
 
@@ -131,6 +213,7 @@ std::string run_measured_pipelines(const std::string& json_path,
   constexpr std::size_t kTuples = 2000;       // matches the committed baselines
   constexpr std::size_t kExtraTuples = 6000;  // differential alloc window
   constexpr int kTrials = 5;                  // best-of-N vs scheduler noise
+  constexpr auto kSettle = std::chrono::milliseconds(500);
   astro::stats::Rng rng(6201);
   std::vector<astro::linalg::Vector> data;
   data.reserve(kTuples + kExtraTuples);
@@ -142,8 +225,9 @@ std::string run_measured_pipelines(const std::string& json_path,
 
   std::printf("\n=== Measured pipeline (real operators, d = 250, p = 10, "
               "N = %zu, best of %d) ===\n\n", kTuples, kTrials);
-  std::printf("%8s %6s %14s %14s %12s\n", "engines", "batch", "split (t/s)",
-              "allocs/tuple", "sync rounds");
+  std::printf("%8s %6s %14s %14s %10s %14s %12s\n", "engines", "batch",
+              "split (t/s)", "applied (t/s)", "result (s)", "allocs/tuple",
+              "sync rounds");
 
   auto make_cfg = [](std::size_t engines, std::size_t batch_max,
                      double sample_interval_s) {
@@ -169,27 +253,39 @@ std::string run_measured_pipelines(const std::string& json_path,
     for (std::size_t engines :
          {std::size_t(1), std::size_t(2), std::size_t(4)}) {
       RunResult best;
+      double applied_tps = 0.0;
+      double time_to_result_s = 0.0;
       for (int t = 0; t < kTrials; ++t) {
-        RunResult r = run_once(make_cfg(engines, batch_max, 0.05), base, true);
+        std::this_thread::sleep_for(kSettle);
+        RunResult r = run_once(make_cfg(engines, batch_max, 0.05), base,
+                               RunKind::kSplitRate);
         if (r.tps > best.tps) best = std::move(r);
+        std::this_thread::sleep_for(kSettle);
+        const RunResult timed = run_once(make_cfg(engines, batch_max, 0.05),
+                                         base, RunKind::kTimed);
+        applied_tps = std::max(applied_tps, timed.applied_tps);
+        time_to_result_s = t == 0 ? timed.time_to_result_s
+                                  : std::min(time_to_result_s,
+                                             timed.time_to_result_s);
       }
 
       // Marginal steady-state allocations (see MeasuredRow doc above).
       const RunResult short_run =
-          run_once(make_cfg(engines, batch_max, 0.0), base, false);
+          run_once(make_cfg(engines, batch_max, 0.0), base, RunKind::kAllocs);
       const RunResult long_run =
-          run_once(make_cfg(engines, batch_max, 0.0), data, false);
+          run_once(make_cfg(engines, batch_max, 0.0), data, RunKind::kAllocs);
       const double allocs_per_tuple =
           long_run.allocs <= short_run.allocs
               ? 0.0
               : double(long_run.allocs - short_run.allocs) /
                     double(kExtraTuples);
 
-      std::printf("%8zu %6zu %14.0f %14.1f %12.0f\n", engines, batch_max,
-                  best.tps, allocs_per_tuple, best.rounds);
+      std::printf("%8zu %6zu %14.0f %14.0f %10.3f %14.1f %12.0f\n", engines,
+                  batch_max, best.tps, applied_tps, time_to_result_s,
+                  allocs_per_tuple, best.rounds);
       if (rows_out != nullptr) {
-        rows_out->push_back(
-            {engines, batch_max, best.tps, allocs_per_tuple, best.rounds});
+        rows_out->push_back({engines, batch_max, best.tps, applied_tps,
+                             time_to_result_s, allocs_per_tuple, best.rounds});
       }
 
       if (!first) json += ',';
@@ -294,7 +390,7 @@ int main(int argc, char** argv) {
   // plus the measured pipeline's steady-state tuples/sec and allocs/tuple,
   // with an optional embedded baseline (--baseline <path>, a previously
   // recorded "current" object) so the committed file tracks the trajectory.
-  char buf[192];
+  char buf[256];
   std::string summary = "{\"bench\":\"fig6\",\"current\":{\"sim\":[";
   for (std::size_t i = 0; i < engine_counts.size(); ++i) {
     std::snprintf(buf, sizeof(buf),
@@ -307,10 +403,12 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < measured.size(); ++i) {
     std::snprintf(buf, sizeof(buf),
                   "%s{\"engines\":%zu,\"batch_max\":%zu,"
-                  "\"tuples_per_sec\":%.1f,"
+                  "\"tuples_per_sec\":%.1f,\"applied_tps\":%.1f,"
+                  "\"time_to_result_s\":%.4f,"
                   "\"allocs_per_tuple\":%.1f,\"sync_rounds\":%.0f}",
                   i ? "," : "", measured[i].engines, measured[i].batch_max,
-                  measured[i].tuples_per_sec, measured[i].allocs_per_tuple,
+                  measured[i].tuples_per_sec, measured[i].applied_tps,
+                  measured[i].time_to_result_s, measured[i].allocs_per_tuple,
                   measured[i].sync_rounds);
     summary += buf;
   }

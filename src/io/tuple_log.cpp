@@ -3,7 +3,6 @@
 #include <chrono>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 
 #include "io/frame.h"
 
@@ -101,7 +100,7 @@ void TupleLogSource::run() {
           started + std::chrono::duration_cast<Clock::duration>(
                         std::chrono::duration<double>(double(emitted) /
                                                       max_rate_));
-      std::this_thread::sleep_until(due);
+      if (wait_until_stopped(due)) break;
     }
     const std::size_t bytes = t->wire_bytes();
     if (!out_->push(std::move(*t))) break;

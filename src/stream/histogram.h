@@ -5,16 +5,20 @@
 // of each component and the data channels traffic").
 //
 // Design constraints (hot-path instrumentation):
-//   * record() is allocation-free and wait-free: one relaxed fetch_add into
-//     a power-of-two bucket plus a relaxed sum/max update.
+//   * record() is allocation-free and lock-free: one relaxed fetch_add into
+//     a power-of-two bucket plus relaxed sum/min/max updates.
 //   * Buckets are log2-spaced: bucket b (b >= 1) covers [2^(b-1), 2^b - 1]
 //     nanoseconds, bucket 0 holds exact zeros.  65 buckets span the full
 //     uint64 range, so no value is ever clipped.
 //   * Percentiles are computed from a snapshot, interpolating linearly
-//     inside the winning bucket — deterministic given the counts, so the
-//     merge of two histograms reports exactly the percentiles of the
-//     concatenated sample streams (a property the tests rely on).
+//     inside the winning bucket and clamped into the observed [min, max]
+//     (a bucket spans a factor of two, so unclamped interpolation in a
+//     sparse top bucket can overshoot the largest sample by up to 2x).
+//     Deterministic given the counts and extremes, so the merge of two
+//     histograms reports exactly the percentiles of the concatenated
+//     sample streams (a property the tests rely on).
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -31,6 +35,7 @@ struct HistogramSnapshot {
   std::array<std::uint64_t, kBuckets> counts{};
   std::uint64_t total = 0;
   std::uint64_t sum = 0;
+  std::uint64_t min = 0;  ///< smallest sample (0 while empty)
   std::uint64_t max = 0;
 
   /// Inclusive lower bound of bucket b.
@@ -49,7 +54,8 @@ struct HistogramSnapshot {
   }
 
   /// q-quantile (q in [0,1]) by rank over the bucket counts, linearly
-  /// interpolated inside the bucket.  Monotone in q by construction.
+  /// interpolated inside the bucket and clamped into [min, max].  Monotone
+  /// in q by construction.
   [[nodiscard]] double percentile(double q) const noexcept {
     if (total == 0) return 0.0;
     if (q < 0.0) q = 0.0;
@@ -64,7 +70,7 @@ struct HistogramSnapshot {
         const double lo = double(bucket_lo(b));
         const double hi = double(bucket_hi(b));
         const double pos = (target - double(cum)) / double(c);  // (0,1]
-        return lo + pos * (hi - lo);
+        return std::clamp(lo + pos * (hi - lo), double(min), double(max));
       }
       cum += c;
     }
@@ -78,10 +84,12 @@ struct HistogramSnapshot {
   /// Pools another snapshot in; counts add, so percentiles afterwards equal
   /// those of the concatenated underlying samples.
   void merge(const HistogramSnapshot& other) noexcept {
+    if (other.total == 0) return;
+    min = total == 0 ? other.min : std::min(min, other.min);
+    max = std::max(max, other.max);
     for (std::size_t b = 0; b < kBuckets; ++b) counts[b] += other.counts[b];
     total += other.total;
     sum += other.sum;
-    if (other.max > max) max = other.max;
   }
 };
 
@@ -104,6 +112,10 @@ class LatencyHistogram {
     while (value > cur &&
            !max_.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
     }
+    cur = min_.load(std::memory_order_relaxed);
+    while (value < cur &&
+           !min_.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
+    }
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept {
@@ -119,13 +131,28 @@ class LatencyHistogram {
       s.total += s.counts[b];
     }
     s.sum = sum_.load(std::memory_order_relaxed);
+    if (s.total == 0) return s;
+    // Relaxed loads may see a count whose min/max update has not landed
+    // yet; an extreme that misses the occupied buckets falls back to the
+    // bucket's edge, so [min, max] always spans the counted samples.
+    std::size_t first = 0, last = kBuckets - 1;
+    while (s.counts[first] == 0) ++first;
+    while (s.counts[last] == 0) --last;
+    s.min = min_.load(std::memory_order_relaxed);
     s.max = max_.load(std::memory_order_relaxed);
+    if (s.min > HistogramSnapshot::bucket_hi(first)) {
+      s.min = HistogramSnapshot::bucket_lo(first);
+    }
+    if (s.max < HistogramSnapshot::bucket_lo(last)) {
+      s.max = HistogramSnapshot::bucket_hi(last);
+    }
     return s;
   }
 
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
   std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
   std::atomic<std::uint64_t> max_{0};
 };
 

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
-#include <thread>
 
 #include "io/frame.h"
 
@@ -332,15 +331,6 @@ TcpTupleSink::~TcpTupleSink() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void TcpTupleSink::stop_aware_sleep(milliseconds d) {
-  const auto deadline = Clock::now() + d;
-  while (!stop_requested() && Clock::now() < deadline) {
-    const auto left = std::chrono::duration_cast<milliseconds>(
-        deadline - Clock::now());
-    std::this_thread::sleep_for(std::min(left, milliseconds(20)));
-  }
-}
-
 milliseconds TcpTupleSink::jittered(milliseconds backoff) {
   // splitmix64 step: deterministic per (jitter_seed, call index), so a
   // seeded run replays the exact same backoff schedule.
@@ -434,7 +424,7 @@ TcpTupleSink::IoResult TcpTupleSink::send_frame(
         // A stalled link: nothing moves for the stall's duration.  Loop
         // back so the write deadline bounds it — a stall longer than the
         // budget kills the connection instead of completing a late write.
-        stop_aware_sleep(plan.stall);
+        wait_for_stop(plan.stall);
         continue;
       }
       want = plan.len;
@@ -583,9 +573,8 @@ TcpTupleSink::IoResult TcpTupleSink::establish_session(int attempts) {
       const auto delay = jittered(backoff);
       backoff_ms_last_.store(std::uint64_t(delay.count()),
                              std::memory_order_relaxed);
-      stop_aware_sleep(delay);
+      if (wait_for_stop(delay)) return IoResult::kStopped;
       backoff = std::min(backoff * 2, options_.backoff_max);
-      if (stop_requested()) return IoResult::kStopped;
     }
     if (!try_connect()) continue;
     IoResult r = handshake();

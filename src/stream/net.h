@@ -238,7 +238,6 @@ class TcpTupleSink final : public Operator {
   void enter_degraded();
   bool heal_probe();
   void flush_and_close();
-  void stop_aware_sleep(std::chrono::milliseconds d);
   [[nodiscard]] std::chrono::milliseconds jittered(
       std::chrono::milliseconds backoff);
 

@@ -58,6 +58,7 @@ void append_histogram(std::string& out, const char* key,
   out += "\":{";
   append_field(out, "count", h.total);
   append_field(out, "sum_ns", h.sum);
+  append_field(out, "min_ns", h.min);
   append_field(out, "max_ns", h.max);
   out += "\"mean_ns\":";
   append_number(out, h.mean());

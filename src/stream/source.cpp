@@ -1,7 +1,6 @@
 #include "stream/source.h"
 
 #include <chrono>
-#include <thread>
 
 namespace astro::stream {
 
@@ -31,7 +30,7 @@ void GeneratorSource::run() {
       const auto due =
           started + std::chrono::duration_cast<Clock::duration>(
                         std::chrono::duration<double>(double(seq) / max_rate_));
-      std::this_thread::sleep_until(due);
+      if (wait_until_stopped(due)) break;
     }
     DataTuple t;
     t.seq = seq++;
@@ -70,7 +69,7 @@ void ReplaySource::run() {
       const auto due =
           started + std::chrono::duration_cast<Clock::duration>(
                         std::chrono::duration<double>(double(i) / max_rate_));
-      std::this_thread::sleep_until(due);
+      if (wait_until_stopped(due)) break;
     }
     const std::uint64_t t_build = OperatorMetrics::now_ns();
     DataTuple t;

@@ -2,25 +2,8 @@
 
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 namespace astro::sync {
-
-namespace {
-
-/// Sleep `seconds` in short slices so a stop request lands promptly.
-template <typename StopPred>
-void interruptible_sleep(double seconds, StopPred stop) {
-  using clock = std::chrono::steady_clock;
-  const auto deadline =
-      clock::now() + std::chrono::duration_cast<clock::duration>(
-                         std::chrono::duration<double>(seconds));
-  while (!stop() && clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-}
-
-}  // namespace
 
 Supervisor::Supervisor(
     std::string name, std::vector<PcaEngineOperator*> engines,
@@ -100,8 +83,9 @@ void Supervisor::recover_engine(std::size_t i) {
     abandon_engine(i);
     return;
   }
-  interruptible_sleep(backoff_seconds(prior), [this] { return stop_requested(); });
-  if (stop_requested()) return;  // shutdown wins; cleanup happens on exit
+  if (wait_for_stop(std::chrono::duration<double>(backoff_seconds(prior)))) {
+    return;  // shutdown wins; cleanup happens on exit
+  }
   engines_[i]->recover();
   engines_[i]->restart();
   restart_counts_[i].fetch_add(1, std::memory_order_relaxed);
@@ -144,8 +128,7 @@ void Supervisor::run() {
       }
     }
     if (all_done) break;
-    interruptible_sleep(config_.poll_interval_seconds,
-                        [this] { return stop_requested(); });
+    wait_for_stop(std::chrono::duration<double>(config_.poll_interval_seconds));
   }
   // On a requested shutdown, nothing else will ever drain the engine
   // ports: a dead engine never returns, a live one exits on its stop flag

@@ -90,6 +90,7 @@ TEST(LatencyHistogram, MergeEqualsHistogramOfConcatenatedSamples) {
   const HistogramSnapshot whole = all.snapshot();
   EXPECT_EQ(merged.total, whole.total);
   EXPECT_EQ(merged.sum, whole.sum);
+  EXPECT_EQ(merged.min, whole.min);
   EXPECT_EQ(merged.max, whole.max);
   for (std::size_t b = 0; b < HistogramSnapshot::kBuckets; ++b) {
     EXPECT_EQ(merged.counts[b], whole.counts[b]) << "bucket " << b;
@@ -98,6 +99,40 @@ TEST(LatencyHistogram, MergeEqualsHistogramOfConcatenatedSamples) {
   for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
     EXPECT_DOUBLE_EQ(merged.percentile(q), whole.percentile(q)) << "q=" << q;
   }
+}
+
+TEST(LatencyHistogram, PercentilesStayInsideObservedRange) {
+  // 90 samples at 10 ns and a sparse top bucket: 10 samples at 5000 ns in
+  // [4096, 8191].  p95 lands halfway up that bucket, and unclamped
+  // interpolation read about 6140 ns, above every recorded sample.
+  LatencyHistogram h;
+  for (int i = 0; i < 90; ++i) h.record(10);
+  for (int i = 0; i < 10; ++i) h.record(5000);
+  const HistogramSnapshot s = h.snapshot();
+  EXPECT_EQ(s.min, 10u);
+  EXPECT_EQ(s.max, 5000u);
+  EXPECT_DOUBLE_EQ(s.p95(), 5000.0);
+  EXPECT_DOUBLE_EQ(s.p99(), 5000.0);
+  EXPECT_DOUBLE_EQ(s.percentile(0.0), 10.0);  // [8, 15] bucket floor was 8
+  for (double q = 0.0; q <= 1.0; q += 0.01) {
+    EXPECT_GE(s.percentile(q), double(s.min)) << "q=" << q;
+    EXPECT_LE(s.percentile(q), double(s.max)) << "q=" << q;
+  }
+}
+
+TEST(LatencyHistogram, MergeWithEmptyKeepsExtremes) {
+  LatencyHistogram h;
+  h.record(300);
+  h.record(70);
+  HistogramSnapshot s = h.snapshot();
+  s.merge(HistogramSnapshot{});
+  EXPECT_EQ(s.min, 70u);
+  EXPECT_EQ(s.max, 300u);
+  HistogramSnapshot empty;
+  empty.merge(h.snapshot());
+  EXPECT_EQ(empty.min, 70u);
+  EXPECT_EQ(empty.max, 300u);
+  EXPECT_EQ(empty.total, 2u);
 }
 
 TEST(LatencyHistogram, ConcurrentRecordsAllCounted) {
