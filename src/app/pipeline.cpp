@@ -82,8 +82,7 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
       // The shm leg splices one extra data channel (downlink -> ingest)
       // into the graph; without counting it the pool runs dry under load.
       const std::size_t data_channels = 1 + (config.transport.enabled ? 1 : 0) +
-                                        (config.validate_ingest ? 1 : 0) + n +
-                                        (config.collect_outliers ? 1 : 0);
+                                        n + (config.collect_outliers ? 1 : 0);
       slabs = data_channels * config.channel_capacity +
               n * (std::max<std::size_t>(config.batch_max, 1) + 4) + 64;
     }
@@ -91,9 +90,9 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
   }
 
   // Data plane.  Channels register their gauges with the registry under
-  // "chan.<from>-><to>" names.  With ingest validation enabled the graph
-  // grows a gatekeeper stage: source -> validate -> split, with rejects
-  // flowing to a bounded dead-letter queue instead of the engines.
+  // "chan.<from>-><to>" names.  With ingest validation enabled the split
+  // runs the gatekeeper ("validate") on its thread, with rejects flowing
+  // to a bounded dead-letter queue instead of the engines.
   const std::string ingest_stage =
       config.validate_ingest ? "validate" : "split";
   auto source_out = make_named_channel<DataTuple>(
@@ -132,7 +131,7 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
       this);
 
   // Optional transport stage (DESIGN.md "Transport"): the source's output
-  // crosses a real socket before it reaches validate/split.  The server is
+  // crosses a real socket before it reaches the split.  The server is
   // constructed first (it binds in its constructor, so the sink's connect
   // retries always have a listener to find) and serves sessions until the
   // sink's kBye ends the stream.
@@ -251,11 +250,9 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
         this);
   }
 
-  stream::ChannelPtr<DataTuple> split_in =
+  const stream::ChannelPtr<DataTuple> split_in =
       config.transport.enabled ? transport_out_ : source_out;
   if (config.validate_ingest) {
-    validated_out_ = make_named_channel<DataTuple>("chan.validate->split",
-                                                   config.channel_capacity);
     dead_letter_channel_ = make_named_channel<stream::DeadLetter>(
         "chan.validate->dlq", config.dead_letter_capacity);
     // Transport CRC rejects share the ingest quarantine: a frame damaged on
@@ -269,12 +266,11 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     }
     spectra::ValidationPolicy policy = config.validation;
     if (policy.expected_dim == 0) policy.expected_dim = config.pca.dim;
-    validator_ = graph_.add<stream::ValidateOperator>(
-        "validate", split_in, validated_out_, dead_letter_channel_, policy);
-    validator_->set_arena(arena_.get());
+    gate_ = std::make_unique<stream::IngestGate>(dead_letter_channel_, policy,
+                                                 arena_.get());
     registry_.add_operator(
-        "validate", &validator_->metrics(),
-        [v = validator_] {
+        "validate", &gate_->metrics(),
+        [v = gate_.get()] {
           std::vector<std::pair<std::string, double>> extras{
               {"accepted", double(v->accepted())},
               {"quarantined", double(v->quarantined())},
@@ -298,7 +294,6 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
               {"dead_letters", double(s->count())}};
         },
         this);
-    split_in = validated_out_;
   }
 
   std::vector<stream::ChannelPtr<DataTuple>> engine_data;
@@ -307,8 +302,8 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
         "chan.split->pca-" + std::to_string(i), config.channel_capacity));
   }
   split_ = graph_.add<stream::SplitOperator>("split", split_in, engine_data,
-                                             config.split,
-                                             config.split_workers);
+                                             config.split);
+  split_->set_gate(gate_.get());
   engine_data_ = engine_data;  // stop() must be able to unblock the splitter
   registry_.add_operator("split", &split_->metrics(), {}, this);
 
@@ -581,7 +576,6 @@ void StreamingPcaPipeline::stop() {
   // stream (its sink likewise exits on the flag alone).
   if (source_out_) source_out_->close();
   if (transport_out_) transport_out_->close();
-  if (validated_out_) validated_out_->close();
   if (outlier_channel_) outlier_channel_->close();
   // The engine data ports too: engines exit on their stop flags *without*
   // draining, so a splitter parked in its blocking-push fallback on a full

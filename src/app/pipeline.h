@@ -3,7 +3,7 @@
 // StreamingPcaPipeline — the paper's Figure 2 analysis graph, assembled:
 //
 //   source ─> split ─┬─> PCA engine 0 ─┐
-//                    ├─> PCA engine 1 ─┼─ StateExchange (sync merges)
+//            (+gate) ├─> PCA engine 1 ─┼─ StateExchange (sync merges)
 //                    └─> PCA engine n ─┘
 //   sync controller ─> throttle ─> control router ─> engines (control ports)
 //
@@ -33,7 +33,6 @@
 #include "stream/split.h"
 #include "stream/throttle.h"
 #include "stream/tuple_arena.h"
-#include "stream/validate_op.h"
 #include "sync/checkpoint_store.h"
 #include "sync/controller.h"
 #include "sync/pca_engine_op.h"
@@ -51,7 +50,6 @@ struct PipelineConfig {
   pca::RobustPcaConfig pca;
   std::size_t engines = 4;     ///< parallel PCA instances
   stream::SplitStrategy split = stream::SplitStrategy::kRandom;
-  std::size_t split_workers = 1;
   std::string sync_strategy = "ring";
   /// Sync rounds per second through the Throttle (paper used one round per
   /// 0.5 s).  <= 0 disables synchronization entirely.
@@ -99,10 +97,11 @@ struct PipelineConfig {
   /// the sync controller degrades to the surviving engines meanwhile.
   bool supervise = false;
   sync::SupervisorConfig supervisor;
-  /// Inserts a ValidateOperator between source and split: every tuple is
-  /// checked (and possibly repaired) against `validation` before it can
-  /// reach an engine; rejects flow to a bounded dead-letter queue with a
-  /// typed reason.  Conservation: accepted + quarantined == ingested.
+  /// Runs an IngestGate inside the split stage: every tuple is checked
+  /// (and possibly repaired) against `validation` on the split's thread
+  /// before it is routed to an engine; rejects flow to a bounded
+  /// dead-letter queue with a typed reason.  No extra thread or queue.
+  /// Conservation: accepted + quarantined == ingested.
   bool validate_ingest = false;
   /// Validation policy; expected_dim defaults to pca.dim when left 0.
   spectra::ValidationPolicy validation;
@@ -131,7 +130,7 @@ struct PipelineConfig {
   };
   ServeOptions serve;
   /// Multi-process data plane (DESIGN.md "Transport").  When enabled, the
-  /// stage boundary between the source and the validate/split stage is
+  /// stage boundary between the source and the split stage is
   /// placed behind the resilient session transport — either leg carries
   /// the same CRC-framed session protocol:
   ///
@@ -241,8 +240,8 @@ class StreamingPcaPipeline {
   }
 
   /// The ingest validator (nullptr unless config.validate_ingest).
-  [[nodiscard]] const stream::ValidateOperator* validator() const noexcept {
-    return validator_;
+  [[nodiscard]] const stream::IngestGate* validator() const noexcept {
+    return gate_.get();
   }
   /// The dead-letter sink (nullptr unless config.validate_ingest).
   [[nodiscard]] const stream::DeadLetterSink* dead_letters() const noexcept {
@@ -310,6 +309,9 @@ class StreamingPcaPipeline {
   // graph) holds a raw pointer to the server, so the server must be
   // destroyed after the graph joins and destroys the publisher.
   std::unique_ptr<serve::SnapshotServer> serve_server_;
+  // Declared before graph_ for the same reason: the split runs the ingest
+  // gate on its thread through a non-owning pointer.
+  std::unique_ptr<stream::IngestGate> gate_;
   stream::FlowGraph graph_;
   stream::Operator* source_ = nullptr;
   stream::ChannelPtr<stream::DataTuple> source_out_;
@@ -318,9 +320,7 @@ class StreamingPcaPipeline {
   stream::ShmTupleSink* shm_uplink_ = nullptr;
   stream::ShmTupleServer* shm_downlink_ = nullptr;
   stream::ChannelPtr<stream::DataTuple> transport_out_;
-  stream::ValidateOperator* validator_ = nullptr;
   stream::DeadLetterSink* dead_letter_sink_ = nullptr;
-  stream::ChannelPtr<stream::DataTuple> validated_out_;
   stream::ChannelPtr<stream::DeadLetter> dead_letter_channel_;
   stream::SplitOperator* split_ = nullptr;
   sync::SyncController* controller_ = nullptr;

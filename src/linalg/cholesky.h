@@ -18,13 +18,17 @@ namespace astro::linalg {
 /// Returns std::nullopt when a non-positive pivot is met (matrix not PD).
 [[nodiscard]] std::optional<Matrix> cholesky(const Matrix& a);
 
-/// Solves L y = b for lower-triangular L (forward substitution).
-[[nodiscard]] Vector solve_lower(const Matrix& l, const Vector& b);
-
-/// Solves L^T x = y for lower-triangular L (backward substitution).
-[[nodiscard]] Vector solve_lower_transposed(const Matrix& l, const Vector& y);
-
-/// Solves A x = b given the Cholesky factor L of A.
+/// Solves A x = b given the Cholesky factor L of A (forward, then
+/// backward substitution).
 [[nodiscard]] Vector cholesky_solve(const Matrix& l, const Vector& b);
+
+// Write-into forms for the hot path: the forms above wrap them, so the two
+// are bit-identical, and a warm caller buffer never allocates.
+
+/// cholesky() into `l`; false when `a` is not positive definite.
+bool cholesky_into(const Matrix& a, Matrix& l);
+
+/// cholesky_solve() into `x`; both substitutions run in place in `x`.
+void cholesky_solve_into(const Matrix& l, const Vector& b, Vector& x);
 
 }  // namespace astro::linalg

@@ -9,24 +9,39 @@ namespace astro::pca {
 
 GapFillResult fill_gaps(const EigenSystem& system, const linalg::Vector& x,
                         const PixelMask& observed) {
+  GapFillWorkspace ws;
+  GapFillResult out;
+  out.missing = fill_gaps_into(system, x, observed, ws);
+  out.patched = std::move(ws.patched);
+  out.coeffs = std::move(ws.coeffs);
+  return out;
+}
+
+std::size_t fill_gaps_into(const EigenSystem& system, const linalg::Vector& x,
+                           const PixelMask& observed, GapFillWorkspace& ws) {
   const std::size_t d = system.dim();
   const std::size_t p = system.rank();
   if (x.size() != d || observed.size() != d) {
     throw std::invalid_argument("fill_gaps: dimension mismatch");
   }
 
-  GapFillResult out;
-  out.missing = d - std::size_t(std::count(observed.begin(), observed.end(), true));
-  if (out.missing == 0) {
-    out.patched = x;
-    out.coeffs = system.project(x);
-    return out;
+  const std::size_t missing =
+      d - std::size_t(std::count(observed.begin(), observed.end(), true));
+  ws.patched = x;  // capacity-reusing copy
+  if (missing == 0) {
+    system.center_into(x, ws.y);
+    system.basis().transpose_times_into(ws.y, ws.coeffs);
+    return 0;
   }
 
   // Masked normal equations: (E_oᵀ E_o) c = E_oᵀ y_o over observed pixels.
   const linalg::Matrix& e = system.basis();
-  linalg::Matrix gram(p, p);
-  linalg::Vector rhs(p);
+  linalg::Matrix& gram = ws.gram;
+  linalg::Vector& rhs = ws.rhs;
+  gram.resize_no_shrink(p, p);
+  gram.fill(0.0);
+  rhs.resize_no_shrink(p);
+  rhs.fill(0.0);
   for (std::size_t i = 0; i < d; ++i) {
     if (!observed[i]) continue;
     const double yi = x[i] - system.mean()[i];
@@ -56,28 +71,35 @@ GapFillResult fill_gaps(const EigenSystem& system, const linalg::Vector& x,
 
   // Ridge escalation: a fully-masked component with no noise estimate can
   // still leave the gram singular.
-  auto chol = linalg::cholesky(gram);
+  bool factored = linalg::cholesky_into(gram, ws.chol);
   double ridge = 1e-10 * (gram.trace() / double(p) + 1.0);
-  while (!chol.has_value()) {
+  while (!factored) {
     for (std::size_t a = 0; a < p; ++a) gram(a, a) += ridge;
     ridge *= 10.0;
-    chol = linalg::cholesky(gram);
+    factored = linalg::cholesky_into(gram, ws.chol);
   }
-  out.coeffs = linalg::cholesky_solve(*chol, rhs);
+  linalg::cholesky_solve_into(ws.chol, rhs, ws.coeffs);
 
-  out.patched = x;
   for (std::size_t i = 0; i < d; ++i) {
     if (observed[i]) continue;
     double v = system.mean()[i];
-    for (std::size_t a = 0; a < p; ++a) v += e(i, a) * out.coeffs[a];
-    out.patched[i] = v;
+    for (std::size_t a = 0; a < p; ++a) v += e(i, a) * ws.coeffs[a];
+    ws.patched[i] = v;
   }
-  return out;
+  return missing;
 }
 
 double corrected_squared_residual(const EigenSystem& system, std::size_t p,
                                   const linalg::Vector& patched,
                                   const PixelMask& observed) {
+  GapFillWorkspace ws;
+  return corrected_squared_residual(system, p, patched, observed, ws);
+}
+
+double corrected_squared_residual(const EigenSystem& system, std::size_t p,
+                                  const linalg::Vector& patched,
+                                  const PixelMask& observed,
+                                  GapFillWorkspace& ws) {
   const std::size_t d = system.dim();
   const std::size_t full = system.rank();
   if (p > full) {
@@ -87,8 +109,10 @@ double corrected_squared_residual(const EigenSystem& system, std::size_t p,
     throw std::invalid_argument("corrected_squared_residual: bad sizes");
   }
 
-  const linalg::Vector y = system.center(patched);
-  const linalg::Vector c = system.basis().transpose_times(y);
+  system.center_into(patched, ws.y);
+  system.basis().transpose_times_into(ws.y, ws.coeffs);
+  const linalg::Vector& y = ws.y;
+  const linalg::Vector& c = ws.coeffs;
 
   double r2 = 0.0;
   for (std::size_t i = 0; i < d; ++i) {

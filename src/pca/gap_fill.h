@@ -44,6 +44,23 @@ struct GapFillResult {
                                       const linalg::Vector& x,
                                       const PixelMask& observed);
 
+/// Scratch for the write-into forms below (an engine keeps one in its
+/// UpdateWorkspace): grown on first use, then reused allocation-free.  No
+/// state carries between calls.
+struct GapFillWorkspace {
+  linalg::Matrix gram;     ///< masked normal matrix (rank x rank)
+  linalg::Matrix chol;     ///< its Cholesky factor
+  linalg::Vector rhs;      ///< masked normal right-hand side
+  linalg::Vector y;        ///< centered observation
+  linalg::Vector coeffs;   ///< expansion coefficients
+  linalg::Vector patched;  ///< the patched observation
+};
+
+/// fill_gaps() into ws.patched and ws.coeffs, bit for bit; returns the
+/// number of patched pixels.
+std::size_t fill_gaps_into(const EigenSystem& system, const linalg::Vector& x,
+                           const PixelMask& observed, GapFillWorkspace& ws);
+
 /// Corrected squared residual for a patched observation:
 ///   r² = Σ_observed r_i²  +  Σ_missing (recon_{p+q}[i] − recon_p[i])²
 /// where the first p of the system's components define the fit and the
@@ -54,6 +71,11 @@ struct GapFillResult {
                                                 std::size_t p,
                                                 const linalg::Vector& patched,
                                                 const PixelMask& observed);
+
+/// The same, bit for bit, with ws.y and ws.coeffs as scratch.
+[[nodiscard]] double corrected_squared_residual(
+    const EigenSystem& system, std::size_t p, const linalg::Vector& patched,
+    const PixelMask& observed, GapFillWorkspace& ws);
 
 /// Fraction of pixels observed (diagnostic / workload reporting).
 [[nodiscard]] double coverage(const PixelMask& observed);

@@ -102,9 +102,9 @@ ObservationReport RobustIncrementalPca::observe(const linalg::Vector& x,
     // Patch against the same rank-(p+q) view the truncated engine uses —
     // the full rank-d emit could reproduce *anything* through the masked
     // least squares, which would defeat the patch's purpose.
-    GapFillResult fill = fill_gaps(exact_->reported_system(), x, observed);
-    rep.patched_pixels = fill.missing;
-    exact_->observe(fill.patched);
+    rep.patched_pixels =
+        fill_gaps_into(exact_->reported_system(), x, observed, ws_.gap);
+    exact_->observe(ws_.gap.patched);
     return rep;
   }
   if (!init_done_) {
@@ -378,14 +378,11 @@ ObservationReport RobustIncrementalPca::update(const linalg::Vector& x,
   ObservationReport rep;
   const std::size_t p = config_.rank;
 
-  // 1. Patch gaps against the current (p+q)-rank basis.
-  linalg::Vector patched;
+  // 1. Patch gaps against the current (p+q)-rank basis, in the workspace.
   const linalg::Vector* xp = &x;
   if (observed != nullptr) {
-    GapFillResult fill = fill_gaps(system_, x, *observed);
-    rep.patched_pixels = fill.missing;
-    patched = std::move(fill.patched);
-    xp = &patched;
+    rep.patched_pixels = fill_gaps_into(system_, x, *observed, ws_.gap);
+    xp = &ws_.gap.patched;
   }
 
   // 2. Rank-p residual of the (patched) observation against the OLD system,
@@ -397,7 +394,7 @@ ObservationReport RobustIncrementalPca::update(const linalg::Vector& x,
   double dof_scale = 1.0;
   double r2;
   if (observed != nullptr && rep.patched_pixels > 0) {
-    r2 = corrected_squared_residual(system_, p, *xp, *observed);
+    r2 = corrected_squared_residual(system_, p, *xp, *observed, ws_.gap);
     const std::size_t d = config_.dim;
     const double full_dof = double(d > p ? d - p : 1);
     const std::size_t n_obs = d - rep.patched_pixels;
@@ -405,8 +402,8 @@ ObservationReport RobustIncrementalPca::update(const linalg::Vector& x,
     dof_scale = full_dof / eff_dof;
   } else {
     // Complete observation: the whole step runs in the engine workspace —
-    // no heap allocation (the gappy branch above allocates freely; gap
-    // patching is the rare case and inherently builds new vectors).
+    // no heap allocation (nor does the gappy branch above, once its
+    // gap-fill scratch is warm).
     system_.center_into(*xp, ws_.y);
     system_.basis().transpose_times_into(ws_.y, ws_.coeffs);
     double proj = 0.0;

@@ -22,6 +22,7 @@
 #include "linalg/matrix.h"
 #include "linalg/svd.h"
 #include "linalg/vector.h"
+#include "pca/gap_fill.h"
 
 namespace astro::pca {
 
@@ -39,6 +40,10 @@ struct UpdateWorkspace {
   /// is allocation-free at steady state.
   linalg::Vector batch_gammas;
   linalg::Vector batch_weights;
+  /// Masked-observation scratch (gap patching and the corrected residual,
+  /// paper §II-D).  Sized lazily by its kernels on the first gappy tuple,
+  /// not by ensure(): complete-only streams never pay for it.
+  GapFillWorkspace gap;
 
   /// Pre-grows every buffer for a d-dimensional engine whose A matrix has
   /// `cols` columns — k+1 for the per-tuple path, k+b for a micro-batch of

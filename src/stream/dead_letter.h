@@ -3,14 +3,14 @@
 // Dead-letter queue for quarantined tuples (DESIGN.md "Data-plane
 // robustness").
 //
-// A tuple the ValidateOperator rejects is not dropped on the floor: it is
+// A tuple the IngestGate rejects is not dropped on the floor: it is
 // wrapped with its typed RejectReason and forwarded to a bounded
 // dead-letter channel, whose sink keeps per-reason counts and retains the
 // most recent rejects for forensics.  The conservation invariant the e2e
 // tests assert follows directly:
 //
-//     accepted + quarantined == ingested        (ValidateOperator counters)
-//     dead_letters == quarantined - dlq_overflow (sink vs operator)
+//     accepted + quarantined == ingested        (IngestGate counters)
+//     dead_letters == quarantined - dlq_overflow (sink vs gate)
 //
 // The sink's retention buffer is bounded (`max_retained`): a pathological
 // stream cannot grow memory without limit, and older rejects are evicted

@@ -1,0 +1,55 @@
+#include "stream/ingest_gate.h"
+
+#include <utility>
+
+namespace astro::stream {
+
+IngestGate::IngestGate(ChannelPtr<DeadLetter> dlq,
+                       spectra::ValidationPolicy policy, TupleArena* arena)
+    : dlq_(std::move(dlq)), policy_(policy), arena_(arena) {}
+
+bool IngestGate::admit(DataTuple& t) {
+  const std::uint64_t t0 = OperatorMetrics::now_ns();
+  metrics_.record_in(t.wire_bytes());
+  const spectra::ValidationOutcome outcome =
+      spectra::validate_and_repair(t.values, t.mask, policy_);
+  metrics_.record_proc_ns(OperatorMetrics::now_ns() - t0);
+
+  if (!outcome.ok()) {
+    quarantine(t, outcome.reason);
+    return false;
+  }
+  if (outcome.repaired) {
+    repaired_.fetch_add(1, std::memory_order_relaxed);
+    repaired_pixels_.fetch_add(outcome.repaired_pixels,
+                               std::memory_order_relaxed);
+  }
+  accepted_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.record_out(t.wire_bytes());
+  return true;
+}
+
+void IngestGate::quarantine(DataTuple& t, spectra::RejectReason reason) {
+  quarantined_.fetch_add(1, std::memory_order_relaxed);
+  by_reason_[std::size_t(reason)].fetch_add(1, std::memory_order_relaxed);
+  if (dlq_) {
+    DeadLetter letter;
+    letter.reason = reason;
+    if (arena_) {
+      letter.tuple = t;  // copy-on-quarantine: the slab returns below
+    } else {
+      letter.tuple = std::move(t);
+    }
+    if (!dlq_->try_push(letter)) {  // never backpressure the science stream
+      dlq_overflow_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (arena_) arena_->release(t);
+}
+
+void IngestGate::close() {
+  metrics_.mark_stop();
+  if (dlq_) dlq_->close();
+}
+
+}  // namespace astro::stream

@@ -1,0 +1,89 @@
+#pragma once
+
+// IngestGate — the data-plane gatekeeper (DESIGN.md "Data-plane
+// robustness").
+//
+// The split calls admit() on its own thread for every tuple before routing
+// it (operator fusion: no thread hop, no queue).  Accepted tuples go on,
+// possibly repaired in place; rejects go to the dead-letter channel with
+// their typed reason.  accepted + quarantined == tuples_in, always.  The
+// accept path is allocation-free, and the DLQ push never blocks: a full
+// DLQ counts the loss in `dlq_overflow()` instead.
+
+#include <array>
+#include <atomic>
+#include <cstdint>
+
+#include "spectra/validate.h"
+#include "stream/dead_letter.h"
+#include "stream/operator.h"
+#include "stream/tuple_arena.h"
+
+namespace astro::stream {
+
+class IngestGate {
+ public:
+  static constexpr std::size_t kReasonCount =
+      std::size_t(spectra::RejectReason::kCount);
+
+  /// `dlq` may be null: rejects are then counted and discarded.  With an
+  /// `arena` (may be null) a reject is *copied* into the DLQ (the rare path
+  /// may allocate) and its leased slab returns to the pool instead of
+  /// leaking into the DLQ retention buffer.
+  IngestGate(ChannelPtr<DeadLetter> dlq, spectra::ValidationPolicy policy,
+             TupleArena* arena = nullptr);
+
+  /// Validates `t` in place.  True: accepted (possibly repaired), route it.
+  /// False: quarantined, and `t` is consumed.  One calling thread only.
+  bool admit(DataTuple& t);
+
+  /// Starts the gate's active window, on the admitting thread.
+  void open() noexcept { metrics_.mark_start(); }
+  /// Ends the window and closes the dead-letter channel, after the last
+  /// admit(): the admitting stage is the DLQ's last producer.
+  void close();
+
+  // --- live counters (any thread) ----------------------------------------
+  [[nodiscard]] std::uint64_t accepted() const noexcept {
+    return accepted_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t quarantined() const noexcept {
+    return quarantined_.load(std::memory_order_relaxed);
+  }
+  /// Accepted tuples that needed repair (interpolation or NaN-masking).
+  [[nodiscard]] std::uint64_t repaired() const noexcept {
+    return repaired_.load(std::memory_order_relaxed);
+  }
+  /// Masked pixels filled by interpolation, summed over accepted tuples.
+  [[nodiscard]] std::uint64_t repaired_pixels() const noexcept {
+    return repaired_pixels_.load(std::memory_order_relaxed);
+  }
+  /// Rejects lost because the dead-letter channel was full/closed.
+  [[nodiscard]] std::uint64_t dlq_overflow() const noexcept {
+    return dlq_overflow_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t quarantined_for(
+      spectra::RejectReason r) const noexcept {
+    return by_reason_[std::size_t(r)].load(std::memory_order_relaxed);
+  }
+  /// tuples_in = checked, tuples_out = accepted, proc = validation time.
+  [[nodiscard]] const OperatorMetrics& metrics() const noexcept {
+    return metrics_;
+  }
+
+ private:
+  void quarantine(DataTuple& t, spectra::RejectReason reason);
+
+  ChannelPtr<DeadLetter> dlq_;
+  spectra::ValidationPolicy policy_;
+  TupleArena* arena_;  // non-owning; null = heap payloads
+  OperatorMetrics metrics_;
+  std::atomic<std::uint64_t> accepted_{0};
+  std::atomic<std::uint64_t> quarantined_{0};
+  std::atomic<std::uint64_t> repaired_{0};
+  std::atomic<std::uint64_t> repaired_pixels_{0};
+  std::atomic<std::uint64_t> dlq_overflow_{0};
+  std::array<std::atomic<std::uint64_t>, kReasonCount> by_reason_{};
+};
+
+}  // namespace astro::stream

@@ -97,6 +97,7 @@ class BoundedQueue {
   void set_fault_hook(FaultHook hook) {
     std::lock_guard lock(mutex_);
     fault_hook_ = std::move(hook);
+    has_fault_hook_.store(bool(fault_hook_), std::memory_order_release);
   }
 
   /// Blocks while full.  Returns false (drops the tuple) once closed.
@@ -277,11 +278,13 @@ class BoundedQueue {
   [[nodiscard]] const QueueGauges& gauges() const noexcept { return gauges_; }
 
  private:
-  // Takes the lock only to read the hook and claim an attempt index, then
-  // calls the hook outside it (the hook locks the injector's own mutex; no
-  // nesting).  The decision depends only on the attempt index, so the
-  // unlocked call cannot change the outcome.
+  // Without a hook this is one atomic load, so a push locks once, not
+  // twice.  With one, takes the lock only to read the hook and claim an
+  // attempt index, then calls the hook outside it (the hook locks the
+  // injector's own mutex; no nesting).  The decision depends only on the
+  // attempt index, so the unlocked call cannot change the outcome.
   FaultDecision consult_fault_hook() {
+    if (!has_fault_hook_.load(std::memory_order_acquire)) return {};
     FaultHook hook;
     std::uint64_t attempt = 0;
     {
@@ -341,6 +344,8 @@ class BoundedQueue {
   bool closed_ = false;
   QueueGauges gauges_;
   FaultHook fault_hook_;
+  // Set (before any producer starts) when fault_hook_ is installed.
+  std::atomic<bool> has_fault_hook_{false};
   std::uint64_t push_attempts_ = 0;  // guarded by mutex_
 };
 

@@ -6,13 +6,11 @@ namespace astro::stream {
 
 SplitOperator::SplitOperator(std::string name, ChannelPtr<DataTuple> in,
                              std::vector<ChannelPtr<DataTuple>> outs,
-                             SplitStrategy strategy, std::size_t workers,
-                             std::uint64_t seed)
+                             SplitStrategy strategy, std::uint64_t seed)
     : Operator(std::move(name)),
       in_(std::move(in)),
       outs_(std::move(outs)),
       strategy_(strategy),
-      workers_(workers == 0 ? 1 : workers),
       seed_(seed),
       counts_(std::make_unique<std::atomic<std::uint64_t>[]>(outs_.size())) {
   if (outs_.empty()) {
@@ -21,78 +19,65 @@ SplitOperator::SplitOperator(std::string name, ChannelPtr<DataTuple> in,
   for (std::size_t i = 0; i < outs_.size(); ++i) counts_[i] = 0;
 }
 
-SplitOperator::~SplitOperator() {
-  join();  // ensure the main thread finished before reaping extra workers
-  for (auto& t : extra_workers_) {
-    if (t.joinable()) t.join();
+std::size_t SplitOperator::least_loaded(std::size_t best,
+                                        std::size_t best_size) {
+  // Rotate the scan's starting point per decision: a fixed scan from index
+  // 0 with a strict `<` hands every tie to the lowest index, and at startup
+  // (all queues empty), under light load (all equal) or with every queue
+  // full, that funnels the whole stream at engine 0.  Starting each scan
+  // one slot further spreads tie wins uniformly across the minima.
+  const std::size_t n = outs_.size();
+  const std::size_t start = rr_counter_++ % n;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = (start + k) % n;
+    const std::size_t s = outs_[i]->size();
+    if (s < best_size) {
+      best = i;
+      best_size = s;
+    }
   }
+  return best;
 }
 
 std::size_t SplitOperator::choose_target(stats::Rng& rng,
-                                         std::size_t& rr_state) const {
+                                         std::size_t& rr_state) {
   switch (strategy_) {
     case SplitStrategy::kRandom:
       return rng.index(outs_.size());
     case SplitStrategy::kRoundRobin:
       return rr_state++ % outs_.size();
-    case SplitStrategy::kLeastLoaded: {
-      // Rotate the scan's starting point per decision: a fixed scan from
-      // index 0 with a strict `<` hands every tie to the lowest index, and
-      // at startup (all queues empty) or under light load (all equal) that
-      // funnels the whole stream at engine 0.  Starting each scan one slot
-      // further spreads tie wins uniformly across the minima.
-      const std::size_t n = outs_.size();
-      const std::size_t start =
-          rr_counter_.fetch_add(1, std::memory_order_relaxed) % n;
-      std::size_t best = start, best_size = outs_[start]->size();
-      for (std::size_t k = 1; k < n; ++k) {
-        const std::size_t i = (start + k) % n;
-        const std::size_t s = outs_[i]->size();
-        if (s < best_size) {
-          best = i;
-          best_size = s;
-        }
-      }
-      return best;
-    }
+    case SplitStrategy::kLeastLoaded:
+      return least_loaded(0, std::size_t(-1));
   }
   return 0;
 }
 
-void SplitOperator::worker_loop(std::size_t worker_index) {
-  stats::Rng rng(seed_ + 0x9E37ull * (worker_index + 1));
-  std::size_t rr_state = worker_index;
+void SplitOperator::run() {
+  stats::Rng rng(seed_ + 0x9E37ull);
+  std::size_t rr_state = 0;
+  if (gate_ != nullptr) gate_->open();
 
   DataTuple t;
   std::uint64_t t_prev = OperatorMetrics::now_ns();
   while (!stop_requested() && in_->pop(t)) {
     const std::uint64_t t_popped = OperatorMetrics::now_ns();
     metrics_.record_pop_wait_ns(t_popped - t_prev);
+    // The fused ingest gate: a quarantined tuple is never routed, and the
+    // split's own counters see only what it routes.
+    if (gate_ != nullptr && !gate_->admit(t)) {
+      t_prev = OperatorMetrics::now_ns();
+      continue;
+    }
     metrics_.record_in(t.wire_bytes());
     std::size_t target = choose_target(rng, rr_state);
     const std::uint64_t t_routed = OperatorMetrics::now_ns();
     metrics_.record_proc_ns(t_routed - t_popped);
 
     // Non-blocking first: a full target means a slow engine; reroute to the
-    // least loaded queue rather than stall the whole stream.  The reroute
-    // scan rotates its start like choose_target's kLeastLoaded: a fixed
-    // 0-first scan gave every tie to the lowest index, piling rerouted
-    // traffic onto engine 0 exactly when queues were uniformly full.
+    // least loaded queue rather than stall the whole stream.
     const std::size_t bytes = t.wire_bytes();
     if (!outs_[target]->try_push(t)) {
-      const std::size_t n = outs_.size();
-      const std::size_t start =
-          rr_counter_.fetch_add(1, std::memory_order_relaxed) % n;
-      std::size_t best = target, best_size = outs_[target]->size();
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t i = (start + k) % n;
-        const std::size_t s = outs_[i]->size();
-        if (s < best_size) {
-          best = i;
-          best_size = s;
-        }
-      }
-      target = best;
+      target = least_loaded(target, outs_[target]->size());
       // Blocking push as last resort: backpressure all the way upstream.
       if (!outs_[target]->push(std::move(t))) {
         metrics_.record_dropped();
@@ -105,19 +90,9 @@ void SplitOperator::worker_loop(std::size_t worker_index) {
     counts_[target].fetch_add(1, std::memory_order_relaxed);
     metrics_.record_out(bytes);
   }
-}
-
-void SplitOperator::run() {
-  extra_workers_.reserve(workers_ - 1);
-  for (std::size_t w = 1; w < workers_; ++w) {
-    extra_workers_.emplace_back([this, w] { worker_loop(w); });
-  }
-  worker_loop(0);
-  for (auto& t : extra_workers_) {
-    if (t.joinable()) t.join();
-  }
-  extra_workers_.clear();
   for (auto& out : outs_) out->close();
+  // After the outputs: the split is the dead-letter channel's last producer.
+  if (gate_ != nullptr) gate_->close();
   set_stop_reason(stop_requested() ? StopReason::kRequested
                                    : StopReason::kUpstreamClosed);
 }

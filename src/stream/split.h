@@ -15,14 +15,14 @@
 //   kRoundRobin — deterministic cycling (useful in tests).
 //   kLeastLoaded— always shortest queue.
 //
-// `workers` > 1 runs several splitter threads pulling from the same input,
-// matching InfoSphere's "multi-threaded Signal splitter component to push
-// the data to multiple targets without blocking the queue on one target".
+// With an IngestGate attached (set_gate) the split validates each tuple on
+// its own thread before routing it, and closes the gate's DLQ on exit.
 
 #include <cstdint>
 #include <vector>
 
 #include "stats/rng.h"
+#include "stream/ingest_gate.h"
 #include "stream/operator.h"
 
 namespace astro::stream {
@@ -34,9 +34,11 @@ class SplitOperator final : public Operator {
   SplitOperator(std::string name, ChannelPtr<DataTuple> in,
                 std::vector<ChannelPtr<DataTuple>> outs,
                 SplitStrategy strategy = SplitStrategy::kRandom,
-                std::size_t workers = 1, std::uint64_t seed = 42);
+                std::uint64_t seed = 42);
 
-  ~SplitOperator() override;
+  /// Validates every tuple through `gate` (non-owning, may be null) before
+  /// routing; quarantined tuples are never routed.  Call before start().
+  void set_gate(IngestGate* gate) noexcept { gate_ = gate; }
 
   /// Tuples routed to each output (sampled live).
   [[nodiscard]] std::vector<std::uint64_t> per_target_counts() const;
@@ -45,19 +47,16 @@ class SplitOperator final : public Operator {
   void run() override;
 
  private:
-  void worker_loop(std::size_t worker_index);
-  std::size_t choose_target(stats::Rng& rng, std::size_t& rr_state) const;
+  std::size_t choose_target(stats::Rng& rng, std::size_t& rr_state);
+  /// Least-loaded output (ties rotate); `best`/`best_size` is the incumbent.
+  std::size_t least_loaded(std::size_t best, std::size_t best_size);
 
   ChannelPtr<DataTuple> in_;
   std::vector<ChannelPtr<DataTuple>> outs_;
   SplitStrategy strategy_;
-  std::size_t workers_;
   std::uint64_t seed_;
-  std::vector<std::thread> extra_workers_;
-  /// Rotating start offset for least-loaded tie-breaking (choose_target and
-  /// the reroute fallback): mutable because routing decisions are made from
-  /// const context but the rotation is bookkeeping, not observable state.
-  mutable std::atomic<std::uint64_t> rr_counter_{0};
+  IngestGate* gate_ = nullptr;
+  std::uint64_t rr_counter_ = 0;  ///< least_loaded's rotating scan start
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
 };
 

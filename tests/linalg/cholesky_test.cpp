@@ -62,8 +62,27 @@ TEST(Cholesky, SolveRoundTrip) {
 
 TEST(Cholesky, TriangularSolvesSizeChecks) {
   const Matrix l = Matrix::identity(3);
-  EXPECT_THROW(solve_lower(l, Vector(2)), std::invalid_argument);
-  EXPECT_THROW(solve_lower_transposed(l, Vector(4)), std::invalid_argument);
+  EXPECT_THROW((void)cholesky_solve(l, Vector(2)), std::invalid_argument);
+  Vector x;
+  EXPECT_THROW(cholesky_solve_into(l, Vector(4), x), std::invalid_argument);
+}
+
+TEST(Cholesky, WriteIntoFormsMatchOnReusedBuffers) {
+  // One pair of buffers across shrinking and growing shapes: stale
+  // contents must never leak into the factor or the solution.
+  Rng rng(47);
+  Matrix l;
+  Vector x;
+  for (const std::size_t n : {6u, 3u, 8u, 2u}) {
+    const Matrix a = random_spd(rng, n);
+    const Vector b = rng.gaussian_vector(n);
+    const auto ref = cholesky(a);
+    ASSERT_TRUE(ref.has_value());
+    ASSERT_TRUE(cholesky_into(a, l));
+    EXPECT_TRUE(approx_equal(l, *ref, 0.0)) << n;
+    cholesky_solve_into(l, b, x);
+    EXPECT_TRUE(approx_equal(x, cholesky_solve(*ref, b), 0.0)) << n;
+  }
 }
 
 }  // namespace

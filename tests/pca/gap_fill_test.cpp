@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "pca/robust_pca.h"
 #include "pca/subspace.h"
 #include "stats/rng.h"
@@ -98,6 +100,60 @@ TEST(GapFill, RidgeHandlesDegenerateMask) {
   const GapFillResult r = fill_gaps(s, x, mask);
   EXPECT_EQ(r.missing, 8u);
   for (double v : r.patched) EXPECT_TRUE(std::isfinite(v));
+}
+
+bool bit_equal(const linalg::Vector& a, const linalg::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(GapFill, WriteIntoFormsBitIdenticalOnReusedWorkspace) {
+  // The engine's per-tuple path runs fill_gaps_into and the workspace form
+  // of corrected_squared_residual on ONE long-lived workspace.  Over 20
+  // seeds the shapes change (d, rank), masks range from complete through
+  // redshift-like bands to degenerate (ridge escalation), and the system
+  // is noiseless or noisy, so the workspace always carries stale contents
+  // of another shape — the results must still match the allocating forms
+  // bit for bit.
+  GapFillWorkspace ws;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(9000 + seed);
+    const std::size_t d = 12 + 7 * (seed % 5);
+    const std::size_t k = 2 + seed % 4;
+    const auto model = testing::make_model(rng, d, k, 3.0, 0.05);
+    const EigenSystem s = system_from_model(model, seed % 2 ? 0.3 : 0.0);
+    for (int trial = 0; trial < 6; ++trial) {
+      const linalg::Vector x = testing::draw(model, rng);
+      PixelMask mask(d, true);
+      switch (trial % 3) {
+        case 0:  // complete
+          break;
+        case 1: {  // a contiguous band, as redshift coverage leaves
+          const std::size_t lo = rng.index(d / 2);
+          for (std::size_t i = lo; i < lo + d / 3; ++i) mask[i] = false;
+          break;
+        }
+        default:  // only two pixels observed: singular without the ridge
+          mask.assign(d, false);
+          mask[rng.index(d)] = true;
+          mask[rng.index(d)] = true;
+          break;
+      }
+      const GapFillResult ref = fill_gaps(s, x, mask);
+      const std::size_t missing = fill_gaps_into(s, x, mask, ws);
+      EXPECT_EQ(missing, ref.missing) << "seed " << seed;
+      EXPECT_TRUE(bit_equal(ws.patched, ref.patched)) << "seed " << seed;
+      EXPECT_TRUE(bit_equal(ws.coeffs, ref.coeffs)) << "seed " << seed;
+
+      for (std::size_t p = 1; p <= k; ++p) {
+        const double r_ref = corrected_squared_residual(s, p, ref.patched, mask);
+        const double r_ws =
+            corrected_squared_residual(s, p, ws.patched, mask, ws);
+        EXPECT_EQ(std::memcmp(&r_ref, &r_ws, sizeof(double)), 0)
+            << "seed " << seed << " p " << p;
+      }
+    }
+  }
 }
 
 TEST(GapFill, CorrectedResidualReducesToPlainWhenNoExtra) {

@@ -111,6 +111,51 @@ TEST(AllocCount, RobustObserveWithOutliersIsAllocationFree) {
   EXPECT_GT(outliers, 0u) << "test vacuous: no outlier was actually flagged";
 }
 
+/// Redshift-like coverage: a contiguous masked band whose position and
+/// width vary per observation; every fourth observation is complete.
+pca::PixelMask band_mask(stats::Rng& rng, std::size_t i) {
+  pca::PixelMask mask(kDim, true);
+  if (i % 4 == 3) return mask;
+  const std::size_t width = 4 + rng.index(kDim / 4);
+  const std::size_t lo = rng.index(kDim - width);
+  for (std::size_t r = lo; r < lo + width; ++r) mask[r] = false;
+  return mask;
+}
+
+TEST(AllocCount, RobustMaskedObserveIsAllocationFreeAtSteadyState) {
+  // Gap patching (masked least squares + Cholesky) and the §II-D corrected
+  // residual run in the engine workspace: once the first gappy tuples have
+  // sized it, a masked observe() allocates nothing either.
+  pca::RobustPcaConfig cfg;
+  cfg.dim = kDim;
+  cfg.rank = kRank;
+  cfg.extra_rank = 2;
+  pca::RobustIncrementalPca engine(cfg);
+
+  const auto data =
+      make_stream(404, cfg.init_count + kWarmup + kSteadyCalls);
+  stats::Rng rng(405);
+  std::vector<pca::PixelMask> masks;
+  masks.reserve(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    masks.push_back(band_mask(rng, i));
+  }
+  std::size_t i = 0;
+  for (; i < cfg.init_count + kWarmup; ++i) engine.observe(data[i], masks[i]);
+  ASSERT_TRUE(engine.initialized());
+
+  perf::AllocWindow window;
+  std::size_t patched = 0;
+  for (; i < data.size(); ++i) {
+    patched += engine.observe(data[i], masks[i]).patched_pixels;
+  }
+  const std::uint64_t allocs = window.allocations();
+
+  EXPECT_EQ(allocs, 0u) << "masked robust observe() allocated on the hot path";
+  EXPECT_GT(patched, 0u) << "test vacuous: no pixel was patched";
+  EXPECT_LE(engine.eigensystem().basis_drift(), 1e-8);
+}
+
 TEST(AllocCount, ExactObserveIsAllocationFreeAtSteadyState) {
   // The exact reference engine's observe() is a rank-1 in-place update of
   // the d x d second-moment matrix — no SVD, no emit.  Steady state must
@@ -338,10 +383,49 @@ TEST(AllocCount, ServeReaderPathIsAllocationFreeAtSteadyState) {
   EXPECT_EQ(server.cache_hits(), kSteadyCalls);
 }
 
+/// Allocations of one full-pipeline run over `tuples` tuples (see
+/// FullPipelineSteadyStateIsAllocationFreePerTuple), with redshift-band
+/// masks on most tuples when `masked`.
+std::uint64_t full_pipeline_allocations(std::size_t tuples, bool masked) {
+  stats::Rng rng(7707);  // same seed: the warm prefix is identical
+  std::vector<Vector> data;
+  std::vector<pca::PixelMask> masks;
+  data.reserve(tuples);
+  for (std::size_t i = 0; i < tuples; ++i) {
+    data.push_back(rng.gaussian_vector(kDim));
+    if (masked) masks.push_back(band_mask(rng, i));
+  }
+  app::PipelineConfig cfg;
+  cfg.pca.dim = kDim;
+  cfg.pca.rank = kRank;
+  cfg.pca.extra_rank = masked ? 2 : 0;
+  cfg.engines = 4;
+  cfg.batch_max = 8;
+  cfg.validate_ingest = true;
+  cfg.sync_rate_hz = 0.0;      // no control plane (see below)
+  cfg.channel_capacity = 128;  // keeps the arena prealloc modest
+  app::StreamingPcaPipeline pipeline(cfg, std::move(data), std::move(masks));
+
+  perf::AllocWindow window;
+  pipeline.run();
+  return window.allocations();
+}
+
+/// Marginal allocations per tuple: the allocation difference between two
+/// runs identical in everything but stream length.
+double full_pipeline_allocs_per_tuple(bool masked) {
+  constexpr std::size_t kWarmTuples = 600;
+  constexpr std::size_t kExtraTuples = 1000;
+  const std::uint64_t base = full_pipeline_allocations(kWarmTuples, masked);
+  const std::uint64_t longer =
+      full_pipeline_allocations(kWarmTuples + kExtraTuples, masked);
+  return longer <= base ? 0.0 : double(longer - base) / double(kExtraTuples);
+}
+
 TEST(AllocCount, FullPipelineSteadyStateIsAllocationFreePerTuple) {
   // The e2e version of the per-class probes above (ISSUE 8): the WHOLE
-  // pipeline — replay source leasing arena slabs, ingest validation,
-  // splitter, ring channels, four batching engines — must have ~zero
+  // pipeline — replay source leasing arena slabs, ingest validation in the
+  // split, ring channels, four batching engines — must have ~zero
   // *marginal* allocation cost per tuple once warm.
   //
   // Differential two-run design: a pipeline run has a real fixed
@@ -352,41 +436,15 @@ TEST(AllocCount, FullPipelineSteadyStateIsAllocationFreePerTuple) {
   // tuples.  Sync, outlier collection, checkpoints, and the samplers stay
   // off: their cadences are wall-clock-driven, which would make the two
   // runs differ by more than the stream length.
-  constexpr std::size_t kEngines = 4;
-  constexpr std::size_t kWarmTuples = 600;
-  constexpr std::size_t kExtraTuples = 1000;
+  EXPECT_LT(full_pipeline_allocs_per_tuple(/*masked=*/false), 0.05)
+      << "full pipeline allocated per tuple at steady state";
+}
 
-  const auto run_pipeline = [](std::size_t tuples) -> std::uint64_t {
-    stats::Rng rng(7707);  // same seed: the warm prefix is identical
-    std::vector<Vector> data;
-    data.reserve(tuples);
-    for (std::size_t i = 0; i < tuples; ++i) {
-      data.push_back(rng.gaussian_vector(kDim));
-    }
-    app::PipelineConfig cfg;
-    cfg.pca.dim = kDim;
-    cfg.pca.rank = kRank;
-    cfg.engines = kEngines;
-    cfg.batch_max = 8;
-    cfg.validate_ingest = true;
-    cfg.sync_rate_hz = 0.0;      // no control plane (see above)
-    cfg.channel_capacity = 128;  // keeps the arena prealloc modest
-    app::StreamingPcaPipeline pipeline(cfg, std::move(data));
-
-    perf::AllocWindow window;
-    pipeline.run();
-    return window.allocations();
-  };
-
-  const std::uint64_t base = run_pipeline(kWarmTuples);
-  const std::uint64_t longer = run_pipeline(kWarmTuples + kExtraTuples);
-  const double per_tuple =
-      longer <= base ? 0.0
-                     : double(longer - base) / double(kExtraTuples);
-
-  EXPECT_LT(per_tuple, 0.05)
-      << "full pipeline allocated per tuple at steady state: base run "
-      << base << " allocs, longer run " << longer;
+TEST(AllocCount, FullPipelineWithMasksIsAllocationFreePerTuple) {
+  // Same differential design with gappy spectra: the masks ride the arena
+  // slabs, and the engines patch them in their workspaces.
+  EXPECT_LT(full_pipeline_allocs_per_tuple(/*masked=*/true), 0.05)
+      << "masked full pipeline allocated per tuple at steady state";
 }
 
 TEST(AllocCount, ProbeCountsAllocations) {

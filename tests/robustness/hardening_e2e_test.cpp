@@ -1,5 +1,5 @@
 // End-to-end data-plane hardening scenarios: seeded corruption on the wire,
-// the ValidateOperator + dead-letter queue in front of the engines, and the
+// the split's ingest gate + dead-letter queue in front of the engines, and the
 // numerical-health watchdog behind them.  Every count is asserted through
 // the metrics-registry JSON export — the surface an operator would watch.
 //
@@ -99,7 +99,8 @@ TEST(DataHardening, CleanStreamPassesValidationUntouched) {
   ASSERT_TRUE(ops.count("validate"));
   ASSERT_TRUE(ops.count("dead-letter"));
   ASSERT_TRUE(queues.count("chan.source->validate"));
-  ASSERT_TRUE(queues.count("chan.validate->split"));
+  // Validation runs inside the split stage: no queue between the two.
+  EXPECT_FALSE(queues.count("chan.validate->split"));
   ASSERT_TRUE(queues.count("chan.validate->dlq"));
   EXPECT_EQ(ops.at("validate")->at("extras").num("accepted"), double(kTuples));
   EXPECT_EQ(ops.at("validate")->num("tuples_out"), double(kTuples));

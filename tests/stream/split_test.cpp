@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <thread>
 
 #include "stream/graph.h"
 #include "stream/sink.h"
@@ -21,35 +22,69 @@ std::vector<linalg::Vector> tiny_data(std::size_t n, std::size_t d = 4) {
   return out;
 }
 
+/// Source -> split -> one collector per output.  The consumers live in a
+/// graph of their own so a test can choose whether they drain while the
+/// split routes (run) or only after it has routed the whole stream
+/// (run_then_drain).
 struct SplitHarness {
   FlowGraph graph;
+  FlowGraph consumers;
   SplitOperator* split = nullptr;
+  std::vector<ChannelPtr<DataTuple>> outs;
   std::vector<CollectorSink<DataTuple>*> sinks;
 
   SplitHarness(std::size_t n_tuples, std::size_t n_outputs,
-               SplitStrategy strategy, std::size_t workers = 1) {
+               SplitStrategy strategy, std::size_t out_capacity = 64) {
     auto in = make_channel<DataTuple>(64);
-    std::vector<ChannelPtr<DataTuple>> outs;
     for (std::size_t i = 0; i < n_outputs; ++i) {
-      outs.push_back(make_channel<DataTuple>(64));
+      outs.push_back(make_channel<DataTuple>(out_capacity));
     }
     graph.add<ReplaySource>("source", tiny_data(n_tuples), in);
-    split = graph.add<SplitOperator>("split", in, outs, strategy, workers);
+    split = graph.add<SplitOperator>("split", in, outs, strategy);
     for (std::size_t i = 0; i < n_outputs; ++i) {
-      sinks.push_back(graph.add<CollectorSink<DataTuple>>(
+      sinks.push_back(consumers.add<CollectorSink<DataTuple>>(
           "sink" + std::to_string(i), outs[i]));
     }
   }
 
   void run() {
+    consumers.start();
     graph.start();
     graph.wait();
+    consumers.wait();
+  }
+
+  /// Routes the whole stream before any consumer runs.  With every output
+  /// able to hold the whole stream no try_push can fail, so no reroute
+  /// fires and the counts are the strategy's own choices — independent of
+  /// how the scheduler interleaves the consumers.
+  void run_then_drain() {
+    graph.start();
+    graph.wait();
+    consumers.start();
+    consumers.wait();
   }
 
   [[nodiscard]] std::size_t total_received() const {
     std::size_t total = 0;
     for (const auto* s : sinks) total += s->count();
     return total;
+  }
+
+  [[nodiscard]] std::uint64_t rejected_pushes() const {
+    std::uint64_t total = 0;
+    for (const auto& o : outs) total += o->gauges().rejected.load();
+    return total;
+  }
+
+  /// Every seq 0..n-1 arrived exactly once across the sinks.
+  void expect_exactly_once(std::size_t n) const {
+    EXPECT_EQ(total_received(), n);
+    std::vector<int> seen(n, 0);
+    for (const auto* s : sinks) {
+      for (const auto& t : s->snapshot()) seen[std::size_t(t.seq)]++;
+    }
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(seen[i], 1) << "seq " << i;
   }
 };
 
@@ -63,62 +98,92 @@ TEST(Split, NoOutputsThrows) {
 TEST(Split, AllTuplesDeliveredExactlyOnce) {
   SplitHarness h(500, 4, SplitStrategy::kRandom);
   h.run();
-  EXPECT_EQ(h.total_received(), 500u);
-
-  // Every seq 0..499 appears exactly once across the sinks.
-  std::vector<int> seen(500, 0);
-  for (const auto* s : h.sinks) {
-    for (const auto& t : s->snapshot()) seen[std::size_t(t.seq)]++;
-  }
-  for (int c : seen) EXPECT_EQ(c, 1);
+  h.expect_exactly_once(500);
 }
 
-TEST(Split, RoundRobinIsBalanced) {
-  SplitHarness h(400, 4, SplitStrategy::kRoundRobin);
+TEST(Split, LeastLoadedDeliversEverything) {
+  SplitHarness h(1000, 3, SplitStrategy::kLeastLoaded);
   h.run();
+  h.expect_exactly_once(1000);
+}
+
+// Strategy choices, pinned where no reroute can fire: the outputs hold the
+// whole stream and nothing drains them until the split is done.  (With
+// 64-slot outputs and live consumers a loaded box fills a queue now and
+// then, try_push falls back to least-loaded rerouting, and exact counts
+// stop holding.)
+
+TEST(Split, RoundRobinIsBalanced) {
+  SplitHarness h(400, 4, SplitStrategy::kRoundRobin, /*out_capacity=*/400);
+  h.run_then_drain();
+  EXPECT_EQ(h.rejected_pushes(), 0u);
   for (const auto* s : h.sinks) EXPECT_EQ(s->count(), 100u);
 }
 
 TEST(Split, RandomIsApproximatelyBalanced) {
-  SplitHarness h(4000, 4, SplitStrategy::kRandom);
-  h.run();
+  SplitHarness h(4000, 4, SplitStrategy::kRandom, /*out_capacity=*/4000);
+  h.run_then_drain();
+  EXPECT_EQ(h.rejected_pushes(), 0u);
   for (const auto* s : h.sinks) {
     EXPECT_GT(s->count(), 800u);
     EXPECT_LT(s->count(), 1200u);
   }
 }
 
-TEST(Split, LeastLoadedDeliversEverything) {
-  SplitHarness h(1000, 3, SplitStrategy::kLeastLoaded);
-  h.run();
-  EXPECT_EQ(h.total_received(), 1000u);
-}
-
 TEST(Split, LeastLoadedRotatesTieBreaks) {
-  // Regression: with consumers keeping every queue near-empty, the
-  // least-loaded scan almost always sees a tie — and the old scan started
-  // at index 0 every time, funnelling essentially the whole stream to
-  // target 0.  The rotating start offset must spread ties across targets.
+  // Regression: when every queue has the same depth at every decision (as
+  // when consumers keep them empty), the old scan started at index 0 each
+  // time and funnelled the whole stream to target 0.  Closed outputs pin
+  // that tie deterministically: each reads depth 0 forever, and each
+  // decision is counted on the target it chose as two refused pushes (the
+  // try_push, then the blocking fallback).  A rotating start must spread
+  // the ties exactly evenly.
   SplitHarness h(900, 3, SplitStrategy::kLeastLoaded);
+  for (const auto& o : h.outs) o->close();
   h.run();
-  EXPECT_EQ(h.total_received(), 900u);
-  const auto counts = h.split->per_target_counts();
-  ASSERT_EQ(counts.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    // Strictly-least-loaded still biases under racing drains, so only pin
-    // what the bug broke: no target may starve (old code left targets 1 and
-    // 2 with a handful of reroutes) and the counts must reconcile.
-    EXPECT_GT(counts[i], 150u) << "target " << i << " starved";
-    EXPECT_EQ(counts[i], h.sinks[i]->count());
+    EXPECT_EQ(h.outs[i]->gauges().rejected.load(), 2u * 300u) << "target " << i;
   }
-  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0ull), 900ull);
+  EXPECT_EQ(h.split->metrics().dropped(), 900u);
+  EXPECT_EQ(h.total_received(), 0u);
 }
 
-TEST(Split, MultiWorkerDeliversEverything) {
-  SplitHarness h(3000, 4, SplitStrategy::kRandom, /*workers=*/3);
-  h.run();
-  EXPECT_EQ(h.total_received(), 3000u);
-  EXPECT_EQ(h.split->metrics().tuples_out(), 3000u);
+TEST(Split, RerouteDeliversEverythingExactlyOnce) {
+  // Two-slot outputs and sink 0 held back until output 0 has refused a
+  // push: rerouting is certain to fire, and must still deliver every tuple
+  // exactly once, with the split's per-target counts matching the sinks.
+  auto in = make_channel<DataTuple>(64);
+  std::vector<ChannelPtr<DataTuple>> outs;
+  for (int i = 0; i < 4; ++i) outs.push_back(make_channel<DataTuple>(2));
+  FlowGraph graph, late;
+  graph.add<ReplaySource>("source", tiny_data(3000), in);
+  auto* split =
+      graph.add<SplitOperator>("split", in, outs, SplitStrategy::kRandom);
+  std::vector<CollectorSink<DataTuple>*> sinks;
+  sinks.push_back(late.add<CollectorSink<DataTuple>>("sink0", outs[0]));
+  for (int i = 1; i < 4; ++i) {
+    sinks.push_back(graph.add<CollectorSink<DataTuple>>(
+        "sink" + std::to_string(i), outs[i]));
+  }
+  graph.start();
+  while (outs[0]->gauges().rejected.load() == 0) std::this_thread::yield();
+  late.start();
+  graph.wait();
+  late.wait();
+
+  std::vector<int> seen(3000, 0);
+  std::uint64_t total = 0;
+  const auto counts = split->per_target_counts();
+  for (std::size_t i = 0; i < sinks.size(); ++i) {
+    EXPECT_EQ(counts[i], sinks[i]->count()) << "target " << i;
+    total += sinks[i]->count();
+    for (const auto& t : sinks[i]->snapshot()) seen[std::size_t(t.seq)]++;
+  }
+  EXPECT_EQ(total, 3000u);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], 1) << "seq " << i;
+  }
+  EXPECT_EQ(split->metrics().tuples_out(), 3000u);
 }
 
 TEST(Split, PerTargetCountsMatchSinks) {

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <memory>
 #include <set>
 #include <thread>
@@ -417,6 +418,72 @@ TEST(TransportSession, PipelineStageBehindTransportConserves) {
   const std::string json = pipeline.metrics_json();
   EXPECT_NE(json.find("uplink"), std::string::npos);
   EXPECT_NE(json.find("downlink"), std::string::npos);
+}
+
+TEST(TransportSession, FusedGateSharesDeadLettersWithCrcHusks) {
+  // TCP transport + ingest validation: the split validates on its own
+  // thread, so the dead-letter channel has two producers — the downlink
+  // (husks of frames that failed their CRC) and the split (tuples the gate
+  // quarantined).  Every letter must arrive, and the dead-letter sink must
+  // exit once the split closes the channel behind the downlink's last
+  // husk.
+  constexpr std::size_t kN = 600;
+  constexpr std::size_t kDimP = 8;
+  constexpr std::size_t kFrame =
+      io::kFrameHeaderBytes + io::kTuplePayloadFixed + kDimP * 8;
+  auto fault = std::make_shared<SocketFaultInjector>(31);
+  for (const std::size_t k : {5u, 150u, 320u}) {
+    fault->flip_at(0, kHello + k * kFrame + 40, 0x20);
+  }
+  auto data = correlated_data(kN, kDimP);
+  std::size_t poisoned = 0;
+  for (std::size_t i = 7; i < kN; i += 50, ++poisoned) {
+    data[i][2] = std::nan("");
+  }
+
+  app::PipelineConfig cfg;
+  cfg.pca.dim = kDimP;
+  cfg.pca.rank = 2;
+  cfg.engines = 2;
+  cfg.sync_rate_hz = 0.0;
+  cfg.validate_ingest = true;
+  cfg.validation.nonfinite_as_masked = false;  // NaN tuples -> quarantine
+  cfg.transport.enabled = true;
+  cfg.transport.ack_every = 8;
+  cfg.transport.tcp = fast_opts(fault);
+  app::StreamingPcaPipeline pipeline(cfg, std::move(data));
+
+  // run() joins every operator, the dead-letter sink included: a hang here
+  // is a DLQ nobody closed.
+  auto run = std::async(std::launch::async, [&] { pipeline.run(); });
+  const bool finished =
+      run.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  if (!finished) pipeline.stop();
+  run.get();
+  ASSERT_TRUE(finished) << "the pipeline did not drain";
+  EXPECT_EQ(pipeline.dead_letters()->stop_reason(), StopReason::kUpstreamClosed);
+
+  const TcpServerCounters down = pipeline.transport_downlink()->counters();
+  const TcpSinkCounters up = pipeline.transport_uplink()->counters();
+  ASSERT_GE(fault->flips_injected(), 1u);
+  EXPECT_EQ(down.crc_rejects, fault->flips_injected());
+  EXPECT_EQ(down.dead_letters, down.crc_rejects);
+  EXPECT_EQ(down.dead_letter_overflow, 0u);
+  EXPECT_EQ(up.acked, kN);
+  EXPECT_EQ(down.delivered, kN);
+
+  const auto* gate = pipeline.validator();
+  EXPECT_EQ(gate->quarantined(), poisoned);
+  EXPECT_EQ(gate->quarantined_for(spectra::RejectReason::kNonFinite), poisoned);
+  EXPECT_EQ(gate->dlq_overflow(), 0u);
+  const auto* dlq = pipeline.dead_letters();
+  EXPECT_EQ(dlq->count(), down.dead_letters + gate->quarantined());
+  EXPECT_EQ(dlq->count(spectra::RejectReason::kCorruptFrame), down.dead_letters);
+  EXPECT_EQ(dlq->count(spectra::RejectReason::kNonFinite), poisoned);
+
+  std::uint64_t applied = 0;
+  for (const auto& st : pipeline.engine_stats()) applied += st.tuples;
+  EXPECT_EQ(applied + gate->quarantined(), kN);
 }
 
 TEST(TransportSession, PipelineShapeHoldsWithMoreEngines) {
