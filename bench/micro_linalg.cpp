@@ -33,21 +33,6 @@ BENCHMARK(BM_SvdLeft_TallSkinny)
     ->Args({2000, 11})
     ->Args({2000, 21});
 
-void BM_SvdLeft_Threads(benchmark::State& state) {
-  // The paper's future-work item: multithreaded SVD for high-dimensional
-  // streams.  (On a single-core host the tournament schedule only adds
-  // thread overhead; on real multicore nodes the wide merge stacks win.)
-  const auto threads = unsigned(state.range(0));
-  stats::Rng rng(7);
-  const linalg::Matrix a = rng.gaussian_matrix(2000, 21);
-  linalg::SvdOptions opts;
-  opts.threads = threads;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::svd_left(a, opts));
-  }
-}
-BENCHMARK(BM_SvdLeft_Threads)->Arg(1)->Arg(2)->Arg(4);
-
 void BM_SvdFull(benchmark::State& state) {
   const auto d = std::size_t(state.range(0));
   stats::Rng rng(2);

@@ -85,6 +85,21 @@ SteadyRow measure_steady(std::string name, Engine& engine, std::size_t dim,
   return row;
 }
 
+/// The masked path the engine operator runs one tuple at a time: a robust
+/// rank 10+2 engine whose every tuple is missing its last 20% of pixels
+/// (the BM_RobustUpdateWithGaps stream), behind measure_steady's interface.
+struct MaskedRobust {
+  pca::RobustIncrementalPca engine;
+  pca::PixelMask mask;
+
+  explicit MaskedRobust(const pca::RobustPcaConfig& cfg)
+      : engine(cfg), mask(cfg.dim, true) {
+    for (std::size_t i = 0; i < cfg.dim / 5; ++i) mask[cfg.dim - 1 - i] = false;
+  }
+  [[nodiscard]] bool initialized() const { return engine.initialized(); }
+  void observe(const linalg::Vector& x) { engine.observe(x, mask); }
+};
+
 std::string steady_json(const std::vector<SteadyRow>& rows) {
   char buf[256];
   std::string json = "{\"runs\":[";
@@ -226,6 +241,16 @@ std::vector<SteadyRow> run_steady_state() {
     pca::RobustIncrementalPca engine(cfg);
     rows.push_back(measure_steady("robust", engine, pt.dim, pt.rank, pt.iters,
                                   data));
+  }
+  for (const Point& pt : points) {
+    const auto data = dataset(512, pt.dim, 17 + pt.dim);
+    pca::RobustPcaConfig cfg;
+    cfg.dim = pt.dim;
+    cfg.rank = pt.rank;
+    cfg.extra_rank = 2;
+    MaskedRobust engine(cfg);
+    rows.push_back(measure_steady("robust-masked", engine, pt.dim, pt.rank,
+                                  pt.iters, data));
   }
   // Exact reference mode (DESIGN.md "Exact reference mode"): the O(d^2)
   // full-second-moment recursion at the same operating points.  Its cost

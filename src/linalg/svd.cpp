@@ -3,16 +3,19 @@
 #include "linalg/simd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <numeric>
-#include <thread>
 #include <utility>
 #include <stdexcept>
 
 namespace astro::linalg {
 
 namespace {
+
+// Convergence threshold on the normalized off-diagonal inner product
+// |<a_i, a_j>| / (|a_i| |a_j|).
+constexpr double kTol = 1e-12;
+// Safety bound on Jacobi sweeps; convergence is typically < 10 sweeps.
+constexpr int kMaxSweeps = 60;
 
 // Column-major view over the workspace's persistent working copy: columns
 // are contiguous so the Jacobi rotations (which stream over column pairs)
@@ -62,14 +65,14 @@ ColView load_colmajor(const Matrix& src, std::vector<double>& buf) {
 // alpha + beta).  Rounding drift is clamped at zero here and repaired by a
 // full refresh at the start of every sweep.
 bool rotate_pair(const ColView& w, std::vector<double>* v, double* norms2,
-                 std::size_t i, std::size_t j, double tol) {
+                 std::size_t i, std::size_t j) {
   const std::size_t m = w.m, n = w.n;
   double* ci = w.col(i);
   double* cj = w.col(j);
   const double alpha = norms2[i];
   const double beta = norms2[j];
   const double gamma = dot8(ci, cj, m);
-  if (std::abs(gamma) <= tol * std::sqrt(alpha * beta)) return false;
+  if (std::abs(gamma) <= kTol * std::sqrt(alpha * beta)) return false;
   const double zeta = (beta - alpha) / (2.0 * gamma);
   const double t = (zeta >= 0.0 ? 1.0 : -1.0) /
                    (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
@@ -87,74 +90,16 @@ bool rotate_pair(const ColView& w, std::vector<double>* v, double* norms2,
   return true;
 }
 
-// One sweep in round-robin tournament order: n-1 rounds of ~n/2 disjoint
-// pairs.  Pairs within a round share no columns — and therefore no norms2
-// entries — so threads can rotate them concurrently without synchronization
-// beyond the round barrier.
-bool tournament_sweep(const ColView& w, std::vector<double>* v, double* norms2,
-                      const SvdOptions& opts) {
-  const std::size_t n = w.n;
-  // Classic circle method; odd n gets a dummy entry (a bye) so every pair
-  // appears exactly once across the M-1 rounds.
-  constexpr std::size_t kBye = std::size_t(-1);
-  const std::size_t m_ring = n + (n % 2);
-  std::vector<std::size_t> ring(m_ring, kBye);
-  std::iota(ring.begin(), ring.begin() + std::ptrdiff_t(n), 0);
-  std::atomic<bool> rotated{false};
-
-  for (std::size_t round = 0; round + 1 < m_ring; ++round) {
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    pairs.reserve(m_ring / 2);
-    for (std::size_t k = 0; k < m_ring / 2; ++k) {
-      std::size_t a = ring[k];
-      std::size_t b = ring[m_ring - 1 - k];
-      if (a == kBye || b == kBye) continue;
-      if (a > b) std::swap(a, b);
-      pairs.emplace_back(a, b);
-    }
-
-    const unsigned workers =
-        std::min<unsigned>(opts.threads, unsigned(pairs.size()));
-    if (workers <= 1) {
-      for (const auto& [a, b] : pairs) {
-        if (rotate_pair(w, v, norms2, a, b, opts.tol)) {
-          rotated.store(true, std::memory_order_relaxed);
-        }
-      }
-    } else {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (unsigned t = 0; t < workers; ++t) {
-        pool.emplace_back([&] {
-          for (std::size_t idx = next.fetch_add(1); idx < pairs.size();
-               idx = next.fetch_add(1)) {
-            if (rotate_pair(w, v, norms2, pairs[idx].first, pairs[idx].second,
-                            opts.tol)) {
-              rotated.store(true, std::memory_order_relaxed);
-            }
-          }
-        });
-      }
-      for (auto& th : pool) th.join();
-    }
-
-    // Advance the ring (element 0 stays, the rest rotate by one).
-    std::rotate(ring.begin() + 1, ring.begin() + 2, ring.end());
-  }
-  return rotated.load(std::memory_order_relaxed);
-}
-
 // One-sided Jacobi: orthogonalize the columns of `w` in place, accumulating
 // the right rotations into `v` (n x n, column-major) when non-null.
 // Returns the number of sweeps executed.
 int jacobi_orthogonalize(const ColView& w, std::vector<double>* v,
-                         SvdWorkspace& ws, const SvdOptions& opts) {
+                         SvdWorkspace& ws) {
   const std::size_t m = w.m, n = w.n;
   ws.col_norms2.resize(n);
   double* norms2 = ws.col_norms2.data();
   int sweep = 0;
-  for (; sweep < opts.max_sweeps; ++sweep) {
+  for (; sweep < kMaxSweeps; ++sweep) {
     // Refresh the cached squared norms from the columns once per sweep: the
     // incremental updates in rotate_pair are exact in real arithmetic but
     // accumulate rounding across rotations, and the convergence decision
@@ -164,13 +109,9 @@ int jacobi_orthogonalize(const ColView& w, std::vector<double>* v,
       norms2[c] = dot8(col, col, m);
     }
     bool rotated = false;
-    if (opts.threads > 1 && n >= 4) {
-      rotated = tournament_sweep(w, v, norms2, opts);
-    } else {
-      for (std::size_t i = 0; i + 1 < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-          rotated |= rotate_pair(w, v, norms2, i, j, opts.tol);
-        }
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        rotated |= rotate_pair(w, v, norms2, i, j);
       }
     }
     if (!rotated) break;
@@ -278,12 +219,12 @@ Matrix SvdResult::reconstruct() const {
   return us * v.transpose();
 }
 
-SvdResult svd(const Matrix& a, const SvdOptions& opts) {
+SvdResult svd(const Matrix& a) {
   if (a.empty()) throw std::invalid_argument("svd: empty matrix");
   if (a.rows() < a.cols()) {
     // Decompose the (tall) transpose and swap factors: A^T = U s V^T implies
     // A = V s U^T.
-    SvdResult t = svd(a.transpose(), opts);
+    SvdResult t = svd(a.transpose());
     return SvdResult{std::move(t.v), std::move(t.singular_values),
                      std::move(t.u)};
   }
@@ -292,35 +233,35 @@ SvdResult svd(const Matrix& a, const SvdOptions& opts) {
   const std::size_t n = a.cols();
   ws.v_accum.assign(n * n, 0.0);
   for (std::size_t i = 0; i < n; ++i) ws.v_accum[i * n + i] = 1.0;
-  jacobi_orthogonalize(w, &ws.v_accum, ws, opts);
+  jacobi_orthogonalize(w, &ws.v_accum, ws);
   SvdResult out;
   extract_and_sort(w, &ws.v_accum, ws, out.u, out.singular_values, &out.v);
   return out;
 }
 
-ThinUResult svd_left(const Matrix& a, const SvdOptions& opts) {
+ThinUResult svd_left(const Matrix& a) {
   ThinUResult out;
   SvdWorkspace ws;
-  svd_left_inplace(a, ws, ThinUView{&out.u, &out.singular_values}, opts);
+  svd_left_inplace(a, ws, ThinUView{&out.u, &out.singular_values});
   return out;
 }
 
-void svd_left_inplace(const Matrix& a, SvdWorkspace& workspace, ThinUView out,
-                      const SvdOptions& opts) {
+void svd_left_inplace(const Matrix& a, SvdWorkspace& workspace,
+                      ThinUView out) {
   if (out.u == nullptr || out.singular_values == nullptr) {
     throw std::invalid_argument("svd_left_inplace: null output view");
   }
   if (a.empty()) throw std::invalid_argument("svd_left: empty matrix");
   if (a.rows() < a.cols()) {
     // Wide input: fall back to the full (allocating) decomposition.  Never
-    // hit on the per-tuple path, where m = d >> n = p+1.
-    SvdResult full = svd(a, opts);
+    // hit on the update path, where m = d >> n = p+b.
+    SvdResult full = svd(a);
     *out.u = std::move(full.u);
     *out.singular_values = std::move(full.singular_values);
     return;
   }
   const ColView w = load_colmajor(a, workspace.colmajor);
-  jacobi_orthogonalize(w, nullptr, workspace, opts);
+  jacobi_orthogonalize(w, nullptr, workspace);
   extract_and_sort(w, nullptr, workspace, *out.u, *out.singular_values,
                    nullptr);
 }

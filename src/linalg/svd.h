@@ -3,11 +3,14 @@
 // Thin singular-value decomposition via one-sided Jacobi rotations.
 //
 // This is the workhorse of the incremental PCA update (paper eq. 1-3): each
-// incoming tuple requires the SVD of a tall-skinny d x (p+1) matrix A whose
-// columns are the scaled current eigenvectors plus the new residual
-// direction.  One-sided Jacobi orthogonalizes *columns* pairwise, costing
-// O(d k^2) per sweep for k columns — ideal for k = p+1 << d — and is
-// backward-stable without forming A^T A explicitly at working precision.
+// update — one tuple, or a micro-batch of b — requires the SVD of a
+// tall-skinny d x (p+b) matrix A whose columns are the scaled current
+// eigenvectors plus the fresh directions.  One-sided Jacobi orthogonalizes
+// *columns* pairwise, costing O(d k^2) per sweep for k columns — ideal for
+// k = p+b << d — and is backward-stable without forming A^T A explicitly at
+// working precision.  Sweeps run in cyclic order on the calling thread: the
+// multithreaded SVD the paper closes by suggesting measured 6x slower at
+// these shapes (DESIGN.md "No threaded SVD").
 //
 // Two entry styles share one kernel:
 //   - svd()/svd_left(): value-returning, allocate their results — fine for
@@ -38,25 +41,6 @@ struct SvdResult {
 
   /// Reconstruct U diag(s) V^T (for testing / diagnostics).
   [[nodiscard]] Matrix reconstruct() const;
-};
-
-struct SvdOptions {
-  /// Convergence threshold on the normalized off-diagonal inner product
-  /// |<a_i, a_j>| / (|a_i| |a_j|).
-  double tol = 1e-12;
-  /// Safety bound on Jacobi sweeps; convergence is typically < 10 sweeps.
-  int max_sweeps = 60;
-  /// Worker threads for the rotation sweeps.  One-sided Jacobi
-  /// parallelizes cleanly: a round-robin tournament schedule partitions
-  /// each sweep into rounds of disjoint column pairs, and pairs within a
-  /// round touch disjoint columns — the paper's closing suggestion that
-  /// "higher-dimensional data processing performance can be improved by
-  /// using a multithreaded SVD processing algorithm".  1 = sequential
-  /// cyclic sweep (default; the per-tuple matrices are small enough that
-  /// threads only pay off for wide merge stacks at large d).  The threaded
-  /// schedule allocates per sweep — the allocation-free guarantee holds
-  /// for the default sequential path only.
-  unsigned threads = 1;
 };
 
 /// Caller-owned scratch for the in-place kernel.  Buffers grow to the
@@ -92,7 +76,7 @@ struct ThinUView {
 /// Thin SVD of `a` by one-sided Jacobi.  Works for any m, n (including
 /// m < n, handled by transposing internally).  Singular values are
 /// non-negative and sorted in descending order.
-[[nodiscard]] SvdResult svd(const Matrix& a, const SvdOptions& opts = {});
+[[nodiscard]] SvdResult svd(const Matrix& a);
 
 /// Convenience: only U and the singular values (V is never accumulated,
 /// saving O(n^2) work per rotation).  This is what the PCA update uses —
@@ -101,15 +85,14 @@ struct ThinUResult {
   Matrix u;
   Vector singular_values;
 };
-[[nodiscard]] ThinUResult svd_left(const Matrix& a, const SvdOptions& opts = {});
+[[nodiscard]] ThinUResult svd_left(const Matrix& a);
 
 /// Hot-path form of svd_left(): runs the Jacobi sweeps on the workspace's
 /// persistent column-major scratch and writes U / s into the caller's
 /// preallocated storage.  Zero heap allocations at steady state for tall
-/// inputs (m >= n) on the sequential path; a wide input (m < n) falls back
-/// to the allocating full decomposition (never the case on the per-tuple
-/// path, where m = d >> n = p+1).
-void svd_left_inplace(const Matrix& a, SvdWorkspace& workspace, ThinUView out,
-                      const SvdOptions& opts = {});
+/// inputs (m >= n); a wide input (m < n) falls back to the allocating full
+/// decomposition (never the case on the update path, where m = d >> n =
+/// p+b).
+void svd_left_inplace(const Matrix& a, SvdWorkspace& workspace, ThinUView out);
 
 }  // namespace astro::linalg

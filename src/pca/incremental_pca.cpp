@@ -8,58 +8,9 @@
 namespace astro::pca {
 
 void low_rank_update(const linalg::Matrix& basis,
-                     const linalg::Vector& eigenvalues,
-                     const linalg::Vector& y, double gamma,
-                     double fresh_weight, std::size_t p, linalg::Matrix* e_out,
-                     linalg::Vector* lambda_out) {
-  UpdateWorkspace ws;
-  low_rank_update(basis, eigenvalues, y, gamma, fresh_weight, p, ws, *e_out,
-                  *lambda_out);
-}
-
-void low_rank_update(const linalg::Matrix& basis,
-                     const linalg::Vector& eigenvalues,
-                     const linalg::Vector& y, double gamma,
-                     double fresh_weight, std::size_t p, UpdateWorkspace& ws,
+                     const linalg::Vector& eigenvalues, double history_scale,
+                     std::size_t batch, std::size_t p, UpdateWorkspace& ws,
                      linalg::Matrix& e_out, linalg::Vector& lambda_out) {
-  const std::size_t d = y.size();
-  const std::size_t k = eigenvalues.size();
-
-  // A = [ e_1 sqrt(gamma l_1), ..., e_k sqrt(gamma l_k), y sqrt(w) ]
-  // Assembled completely — and decomposed — before e_out / lambda_out are
-  // written, which is what makes aliasing them onto basis / eigenvalues
-  // legal on the engines' in-place path.
-  ws.a.resize_no_shrink(d, k + 1);
-  for (std::size_t c = 0; c < k; ++c) {
-    const double scale = std::sqrt(std::max(0.0, gamma * eigenvalues[c]));
-    for (std::size_t r = 0; r < d; ++r) ws.a(r, c) = basis(r, c) * scale;
-  }
-  const double yscale = std::sqrt(std::max(0.0, fresh_weight));
-  for (std::size_t r = 0; r < d; ++r) ws.a(r, k) = y[r] * yscale;
-
-  linalg::svd_left_inplace(ws.a, ws.svd, linalg::ThinUView{&ws.u, &ws.s});
-
-  e_out.resize_no_shrink(d, p);
-  lambda_out.resize_no_shrink(p);
-  const std::size_t keep = std::min(p, ws.s.size());
-  for (std::size_t c = 0; c < keep; ++c) {
-    lambda_out[c] = ws.s[c] * ws.s[c];
-    for (std::size_t r = 0; r < d; ++r) e_out(r, c) = ws.u(r, c);
-  }
-  // If p > k+1 (larger rank than columns available) the remaining
-  // eigenpairs are zeroed — they fill in as more data arrives.  Explicit
-  // because resize_no_shrink leaves stale values behind.
-  for (std::size_t c = keep; c < p; ++c) {
-    lambda_out[c] = 0.0;
-    for (std::size_t r = 0; r < d; ++r) e_out(r, c) = 0.0;
-  }
-}
-
-void low_rank_update_batch(const linalg::Matrix& basis,
-                           const linalg::Vector& eigenvalues,
-                           double history_scale, std::size_t batch,
-                           std::size_t p, UpdateWorkspace& ws,
-                           linalg::Matrix& e_out, linalg::Vector& lambda_out) {
   const std::size_t d = basis.rows();
   const std::size_t k = eigenvalues.size();
   ws.a.resize_no_shrink(d, k + batch);  // no-op when the caller sized it
@@ -81,6 +32,9 @@ void low_rank_update_batch(const linalg::Matrix& basis,
     lambda_out[c] = ws.s[c] * ws.s[c];
     for (std::size_t r = 0; r < d; ++r) e_out(r, c) = ws.u(r, c);
   }
+  // If p > k+batch (larger rank than columns available) the remaining
+  // eigenpairs are zeroed — they fill in as more data arrives.  Explicit
+  // because resize_no_shrink leaves stale values behind.
   for (std::size_t c = keep; c < p; ++c) {
     lambda_out[c] = 0.0;
     for (std::size_t r = 0; r < d; ++r) e_out(r, c) = 0.0;
@@ -103,45 +57,40 @@ IncrementalPca::IncrementalPca(const IncrementalPcaConfig& config)
 }
 
 void IncrementalPca::observe(const linalg::Vector& x) {
-  if (x.size() != config_.dim) {
-    throw std::invalid_argument("observe: wrong dimensionality");
-  }
-  if (!init_done_) {
-    init_buffer_.push_back(x);
-    if (init_buffer_.size() >= config_.init_count) initialize_from_buffer();
-    return;
-  }
-  update(x);
+  const linalg::Vector* xs[] = {&x};
+  observe_batch(xs, 1);
 }
 
 void IncrementalPca::observe_batch(const linalg::Vector* const* xs,
                                    std::size_t n) {
-  std::size_t j = 0;
-  // The init buffer wants tuples one at a time (it may complete mid-batch).
-  while (j < n && !init_done_) observe(*xs[j++]);
-  if (j == n) return;
-  const std::size_t b = n - j;
-  if (b == 1) {
-    update(*xs[j]);
-    return;
-  }
-  for (std::size_t i = j; i < n; ++i) {
+  // Check the whole batch before any state moves: a bad tuple must not
+  // leave the sums advanced and the mean half-blended behind it.
+  for (std::size_t i = 0; i < n; ++i) {
     if (xs[i]->size() != config_.dim) {
-      throw std::invalid_argument("observe_batch: wrong dimensionality");
+      throw std::invalid_argument("IncrementalPca: wrong dimensionality");
     }
   }
+  std::size_t j = 0;
+  // The init buffer wants tuples one at a time (it may complete mid-batch).
+  while (j < n && !init_done_) {
+    init_buffer_.push_back(*xs[j++]);
+    if (init_buffer_.size() >= config_.init_count) initialize_from_buffer();
+  }
+  if (j == n) return;
+  const std::size_t b = n - j;
 
   const std::size_t p = config_.rank;
   const std::size_t d = config_.dim;
-  ws_.ensure(d, p + b);
-  ws_.a.resize_no_shrink(d, p + b);
+  ws_.ensure(d, p + b);  // shapes ws_.a to d x (k+b)
 
-  // Pass 1 — per-tuple scalar recursions, sequenced exactly like b
-  // observe() calls: residual against the pre-batch basis and the running
-  // mean, forgetting-sum advance, mean blend, σ² diagnostic.  Each tuple's
+  // Pass 1 — per-tuple scalar recursions, in stream order: residual
+  // against the pre-batch basis and the running mean, forgetting-sum
+  // advance, mean blend (eq. 9 with w = 1), σ² diagnostic.  Each tuple's
   // fresh direction is centered against its own updated mean straight into
   // its A column (the batched center kernel); the column's weight is only
-  // known once the later tuples' γ exist, so scaling is deferred.
+  // known once the later tuples' γ exist, so scaling is deferred.  Every
+  // temporary lives in ws_, so a steady-state batch — one tuple included —
+  // performs no heap allocation (pinned by tests/perf/alloc_count_test).
   linalg::Vector& mean = system_.mutable_mean();
   for (std::size_t i = 0; i < b; ++i) {
     const linalg::Vector& x = *xs[j + i];
@@ -166,9 +115,8 @@ void IncrementalPca::observe_batch(const linalg::Vector* const* xs,
     suffix *= ws_.batch_gammas[i];
   }
 
-  low_rank_update_batch(system_.basis(), system_.eigenvalues(), suffix, b, p,
-                        ws_, system_.mutable_basis(),
-                        system_.mutable_eigenvalues());
+  low_rank_update(system_.basis(), system_.eigenvalues(), suffix, b, p, ws_,
+                  system_.mutable_basis(), system_.mutable_eigenvalues());
 }
 
 void IncrementalPca::observe_batch(const std::vector<linalg::Vector>& xs) {
@@ -229,32 +177,6 @@ void IncrementalPca::initialize_from_buffer() {
   init_buffer_.clear();
   init_buffer_.shrink_to_fit();
   init_done_ = true;
-}
-
-void IncrementalPca::update(const linalg::Vector& x) {
-  // Forgetting count drives both the mean and covariance blend; in the
-  // classic algorithm every observation has unit weight.  Every temporary
-  // lives in ws_ — a steady-state update performs no heap allocation
-  // (pinned by tests/perf/alloc_count_test).
-  const double r2 = system_.squared_residual(x, ws_.y, ws_.coeffs);
-  const auto gammas = system_.mutable_sums().update(1.0, r2);
-  const double gamma = gammas.g3;  // alpha*u_prev/u
-
-  // mu = gamma*mu_prev + (1-gamma)*x  (eq. 9 with w = 1)
-  linalg::Vector& mean = system_.mutable_mean();
-  mean *= gamma;
-  mean.axpy(1.0 - gamma, x);
-
-  system_.center_into(x, ws_.y);  // against the updated mean
-
-  low_rank_update(system_.basis(), system_.eigenvalues(), ws_.y, gamma,
-                  1.0 - gamma, config_.rank, ws_, system_.mutable_basis(),
-                  system_.mutable_eigenvalues());
-
-  // Track the (non-robust) mean squared residual as sigma2 for diagnostics.
-  const double g = gamma;
-  system_.set_sigma2(g * system_.sigma2() + (1.0 - g) * r2);
-  system_.count_observation();
 }
 
 void IncrementalPca::set_eigensystem(EigenSystem system) {

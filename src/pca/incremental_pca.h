@@ -11,6 +11,10 @@
 // u = α u_prev + 1:  γ = α u_prev / u, so α = 1 is the classic
 // infinite-memory recursion and α = 1 − 1/N a sliding window of N.
 //
+// A micro-batch of b observations widens A to d x (p+b) (observe_batch);
+// a single observation is the b = 1 case of that same path.  Both
+// estimators decompose A through the one low_rank_update() kernel below.
+//
 // This is both the Figure-1 "classical" baseline (sensitive to outliers)
 // and the skeleton the robust variant builds on.
 
@@ -36,13 +40,14 @@ class IncrementalPca {
  public:
   explicit IncrementalPca(const IncrementalPcaConfig& config);
 
-  /// Consume one observation; cheap O(d p²) once initialized.
+  /// Consume one observation; cheap O(d p²) once initialized.  A batch of
+  /// one: it runs the same code as observe_batch(&x, 1).
   void observe(const linalg::Vector& x);
 
   /// Consume a micro-batch of `n` observations with ONE thin SVD
   /// (DESIGN.md "Micro-batching").  Per-tuple scalar state — the
   /// forgetting sums, the mean recursion and the σ² diagnostic — advances
-  /// sequentially exactly as n observe() calls would; only the
+  /// sequentially exactly as n single-tuple batches would; only the
   /// eigensystem update is batched, decomposing the d x (p+n) matrix
   ///   A = [ E √(G Λ) | y_1 √w_1 | ... | y_n √w_n ],
   /// G = ∏ γ_j and w_j = (1−γ_j) ∏_{i>j} γ_i, which is the eq. (1)-(3)
@@ -51,7 +56,9 @@ class IncrementalPca {
   /// nothing and the batched result equals the sequential one (pinned to
   /// 1e-10 by tests); on general data the batch keeps strictly more of the
   /// update mass than the sequential path.  Tuples still inside the init
-  /// phase are buffered individually.
+  /// phase are buffered individually.  Every tuple's length is checked
+  /// before any state changes, so a malformed batch throws and leaves the
+  /// estimator untouched.
   void observe_batch(const linalg::Vector* const* xs, std::size_t n);
   void observe_batch(const std::vector<linalg::Vector>& xs);
 
@@ -79,7 +86,6 @@ class IncrementalPca {
 
  private:
   void initialize_from_buffer();
-  void update(const linalg::Vector& x);
 
   IncrementalPcaConfig config_;
   EigenSystem system_;
@@ -88,45 +94,23 @@ class IncrementalPca {
   bool init_done_ = false;
 };
 
-/// Shared helper: the low-rank eigensystem update.  Given the current basis
-/// and eigenvalues, blends in direction `y` with weights (γ on history,
-/// `fresh_weight` on y yᵀ) by decomposing the (p+1)-column A matrix.
-/// Returns the new top-`p` basis and eigenvalues through the out-params.
-void low_rank_update(const linalg::Matrix& basis,
-                     const linalg::Vector& eigenvalues,
-                     const linalg::Vector& y, double gamma,
-                     double fresh_weight, std::size_t p, linalg::Matrix* e_out,
-                     linalg::Vector* lambda_out);
-
-/// Hot-path form: the A matrix, SVD scratch and factors live in `ws`; the
-/// new basis / eigenvalues are written into preallocated `e_out` /
-/// `lambda_out` (resized no-shrink, every entry rewritten).  Zero heap
-/// allocations at steady state.  `e_out` / `lambda_out` MAY alias `basis` /
-/// `eigenvalues`: A is fully assembled and decomposed before either output
-/// is touched.  The pointer overload above is a thin wrapper over this one
-/// (temporary workspace), so both paths are bit-identical by construction.
-/// `y` must not live inside `ws`'s own buffers except as `ws.y` (which the
-/// update never touches).
-void low_rank_update(const linalg::Matrix& basis,
-                     const linalg::Vector& eigenvalues,
-                     const linalg::Vector& y, double gamma,
-                     double fresh_weight, std::size_t p, UpdateWorkspace& ws,
-                     linalg::Matrix& e_out, linalg::Vector& lambda_out);
-
-/// Micro-batched form: absorbs `batch` fresh directions in one thin SVD of
-/// the d x (k+batch) matrix A = [ E √(history_scale·Λ) | c_1 | ... | c_b ].
+/// The one low-rank eigensystem update (eq. 1-3), shared by both
+/// estimators: absorbs `batch` fresh directions in one thin SVD of the
+/// d x (k+batch) matrix A = [ E √(history_scale·Λ) | c_1 | ... | c_b ].
 /// Caller contract: ws.a is already resized to d x (k+batch) and its
 /// columns [k, k+batch) hold the fresh directions, each pre-scaled by the
 /// square root of its blended weight (see IncrementalPca::observe_batch for
 /// the weight algebra); `history_scale` is the product of the per-tuple
-/// history coefficients.  Like the per-tuple form, A is fully assembled and
-/// decomposed before the outputs are written, so `e_out` / `lambda_out`
-/// may alias `basis` / `eigenvalues`.  Zero heap allocations once ws has
-/// reached this shape.
-void low_rank_update_batch(const linalg::Matrix& basis,
-                           const linalg::Vector& eigenvalues,
-                           double history_scale, std::size_t batch,
-                           std::size_t p, UpdateWorkspace& ws,
-                           linalg::Matrix& e_out, linalg::Vector& lambda_out);
+/// history coefficients.  A single tuple is batch = 1 with its own γ as
+/// `history_scale`.  A is fully assembled and decomposed before the
+/// outputs are written, so `e_out` / `lambda_out` may alias `basis` /
+/// `eigenvalues` (the engines' in-place path).  The new top-`p` basis and
+/// eigenvalues are written resize-no-shrink with every entry rewritten;
+/// when p exceeds the k+batch columns the trailing eigenpairs are zero.
+/// Zero heap allocations once ws has reached this shape.
+void low_rank_update(const linalg::Matrix& basis,
+                     const linalg::Vector& eigenvalues, double history_scale,
+                     std::size_t batch, std::size_t p, UpdateWorkspace& ws,
+                     linalg::Matrix& e_out, linalg::Vector& lambda_out);
 
 }  // namespace astro::pca

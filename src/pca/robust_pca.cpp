@@ -51,7 +51,7 @@ RobustIncrementalPca::RobustIncrementalPca(const RobustPcaConfig& config)
   config_.init_count = std::max(config_.init_count, 2 * full + 2);
   init_buffer_.reserve(config_.init_count);
   // The reject run can never exceed the reset threshold, so reserving it up
-  // front keeps the outlier branch of update() allocation-free too.
+  // front keeps the outlier branch of absorb() allocation-free too.
   rejected_residuals_.reserve(config_.reject_reset_threshold);
   if (config_.track_robust_eigenvalues) {
     robust_eigenvalues_ = linalg::Vector(config_.rank);
@@ -59,43 +59,33 @@ RobustIncrementalPca::RobustIncrementalPca(const RobustPcaConfig& config)
 }
 
 ObservationReport RobustIncrementalPca::observe(const linalg::Vector& x) {
-  if (x.size() != config_.dim) {
-    throw std::invalid_argument("observe: wrong dimensionality");
-  }
-  if (exact_) {
-    // Exact mode absorbs every tuple at unit weight — there is no robust
-    // down-weighting and therefore no outlier flagging on this path.
-    ObservationReport rep;
-    rep.pending_init = !exact_->initialized();
-    exact_->observe(x);
-    rep.weight = 1.0;
-    rep.scale_weight = 1.0;
-    return rep;
-  }
-  if (!init_done_) {
-    init_buffer_.push_back(x);
-    init_masks_.emplace_back();  // complete observation
-    if (init_buffer_.size() >= config_.init_count) initialize_from_buffer();
-    ObservationReport rep;
-    rep.pending_init = !init_done_;
-    return rep;
-  }
-  return update(x, nullptr);
+  return observe_one(x, nullptr);
 }
 
 ObservationReport RobustIncrementalPca::observe(const linalg::Vector& x,
                                                 const PixelMask& observed) {
-  if (x.size() != config_.dim || observed.size() != config_.dim) {
-    throw std::invalid_argument("observe(masked): wrong dimensionality");
+  if (observed.size() != config_.dim) {
+    throw std::invalid_argument("observe(masked): wrong mask length");
   }
+  return observe_one(x, &observed);
+}
+
+ObservationReport RobustIncrementalPca::observe_one(const linalg::Vector& x,
+                                                    const PixelMask* observed) {
+  if (x.size() != config_.dim) {
+    throw std::invalid_argument("observe: wrong dimensionality");
+  }
+  ObservationReport rep;
   if (exact_) {
-    ObservationReport rep;
+    // Exact mode absorbs every tuple at unit weight — there is no robust
+    // down-weighting and therefore no outlier flagging on this path.
     rep.pending_init = !exact_->initialized();
     rep.weight = 1.0;
     rep.scale_weight = 1.0;
-    if (!exact_->initialized()) {
-      // No basis to patch against yet; absorb raw (gaps wash out under
-      // the forgetting weight, same spirit as the init-phase mean impute).
+    if (observed == nullptr || !exact_->initialized()) {
+      // Before init there is no basis to patch against; absorb raw (gaps
+      // wash out under the forgetting weight, same spirit as the
+      // init-phase mean impute).
       exact_->observe(x);
       return rep;
     }
@@ -103,164 +93,48 @@ ObservationReport RobustIncrementalPca::observe(const linalg::Vector& x,
     // the full rank-d emit could reproduce *anything* through the masked
     // least squares, which would defeat the patch's purpose.
     rep.patched_pixels =
-        fill_gaps_into(exact_->reported_system(), x, observed, ws_.gap);
+        fill_gaps_into(exact_->reported_system(), x, *observed, ws_.gap);
     exact_->observe(ws_.gap.patched);
     return rep;
   }
   if (!init_done_) {
-    // The initializing batch cannot patch gaps (no basis yet); fill missing
-    // pixels with the running mean of what has been buffered so far.
+    // The initializing batch cannot patch gaps (no basis yet); missing
+    // pixels are mean-imputed when the buffer is decomposed.  An empty
+    // mask marks a complete observation.
     init_buffer_.push_back(x);
-    init_masks_.push_back(observed);
+    init_masks_.push_back(observed != nullptr ? *observed : PixelMask{});
     if (init_buffer_.size() >= config_.init_count) initialize_from_buffer();
-    ObservationReport rep;
     rep.pending_init = !init_done_;
     return rep;
   }
-  return update(x, &observed);
+  const linalg::Vector* xs[] = {&x};
+  absorb(xs, 1, observed, &rep);
+  return rep;
 }
 
 void RobustIncrementalPca::observe_batch(const linalg::Vector* const* xs,
                                          std::size_t n,
                                          ObservationReport* reports) {
-  if (exact_) {
-    // The exact recursion needs no batch algebra — per-tuple rank-1
-    // updates are already exact — so batching is a pass-through loop,
-    // bit-identical to the sequential path for every batch size.
-    for (std::size_t i = 0; i < n; ++i) reports[i] = observe(*xs[i]);
-    return;
-  }
-  std::size_t j = 0;
-  // Init-phase tuples are buffered one at a time (the batch decomposition
-  // may complete mid-batch, at which point the remainder streams).
-  while (j < n && !init_done_) {
-    reports[j] = observe(*xs[j]);
-    ++j;
-  }
-  // The robust-eigenvalue recursion (§II-B closing remark) needs the
-  // post-update basis after every tuple — batching it would change the
-  // quantity tracked, not just its arithmetic — so it pins the engine to
-  // the sequential path.
-  if (config_.track_robust_eigenvalues) {
-    for (; j < n; ++j) reports[j] = observe(*xs[j]);
-    return;
-  }
-  if (j == n) return;
-  const std::size_t b = n - j;
-  if (b == 1) {
-    reports[j] = update(*xs[j], nullptr);
-    return;
-  }
-  for (std::size_t i = j; i < n; ++i) {
+  // Check the whole batch before any state moves: a bad tuple must not
+  // leave the sums advanced and the mean half-blended behind it.
+  for (std::size_t i = 0; i < n; ++i) {
     if (xs[i]->size() != config_.dim) {
       throw std::invalid_argument("observe_batch: wrong dimensionality");
     }
   }
-
-  const std::size_t p = config_.rank;
-  const std::size_t full = config_.rank + config_.extra_rank;
-  const std::size_t d = config_.dim;
-  ws_.ensure(d, full + b);
-  ws_.a.resize_no_shrink(d, full + b);
-
-  // Pass 1 — the sequential steps 2-6 and 9 of update() per tuple, with one
-  // difference: the basis every residual (and therefore every weight and
-  // outlier decision) is judged against is the PRE-BATCH one, at most b-1
-  // updates stale.  Accepted tuples stage their centered direction in an A
-  // column; rejected ones (γ₂ = 1) contribute nothing, exactly like the
-  // sequential outlier branch.
-  linalg::Vector& mean = system_.mutable_mean();
-  std::size_t applied = 0;
-  for (std::size_t i = 0; i < b; ++i) {
-    const linalg::Vector& x = *xs[j + i];
-    ObservationReport rep;
-
-    system_.center_into(x, ws_.y);
-    system_.basis().transpose_times_into(ws_.y, ws_.coeffs);
-    double proj = 0.0;
-    for (std::size_t k = 0; k < p; ++k) proj += ws_.coeffs[k] * ws_.coeffs[k];
-    const double r2 = std::max(0.0, ws_.y.squared_norm() - proj);
-    rep.squared_residual = r2;
-
-    const double sigma2_old = std::max(system_.sigma2(), kTinyResidual);
-    rep.t = r2 / sigma2_old;
-    rep.weight = rho_->weight(rep.t);
-    rep.scale_weight = rho_->scale_weight(rep.t);
-    rep.outlier = rep.t >= rho_->rejection_point();
-    if (rep.outlier) {
-      ++outliers_flagged_;
-      if (config_.reject_reset_threshold > 0) {
-        rejected_residuals_.push_back(std::sqrt(r2));
-        if (++consecutive_rejects_ >= config_.reject_reset_threshold) {
-          stats::MScaleOptions mopts;
-          mopts.delta = delta_;
-          const double s2 =
-              stats::m_scale(rejected_residuals_, *rho_, mopts).sigma2;
-          if (s2 > 0.0) system_.set_sigma2(s2);
-          rejected_residuals_.clear();
-          consecutive_rejects_ = 0;
-          ++scale_resets_;
-        }
-      }
-    } else {
-      consecutive_rejects_ = 0;
-      rejected_residuals_.clear();
-    }
-
-    const auto g = system_.mutable_sums().update(rep.weight, rep.weight * r2);
-
-    mean *= g.g1;
-    mean.axpy(1.0 - g.g1, x);
-
-    const double sigma2_base = std::max(system_.sigma2(), kTinyResidual);
-    const double sigma2_new =
-        g.g3 * sigma2_base + (1.0 - g.g3) * rep.scale_weight * r2 / delta_;
-    system_.set_sigma2(std::max(sigma2_new, kTinyResidual));
-
-    // Covariance contribution (sequential step 7): stage the direction and
-    // remember its per-tuple blending pair (γ̂ = γ₂, fresh weight).  The
-    // skip cases — outlier (γ₂ == 1) and a residual too tiny to normalize —
-    // leave C untouched sequentially, which the batch reproduces by
-    // treating their history coefficient as exactly 1.
-    if (g.g2 < 1.0 && r2 > kTinyResidual) {
-      ws_.a.set_col_diff_scaled(full + applied, x, mean, 1.0);
-      ws_.batch_gammas[applied] = g.g2;
-      ws_.batch_weights[applied] = (1.0 - g.g2) * system_.sigma2() / r2;
-      ++applied;
-    }
-
-    system_.count_observation();
-    reports[j + i] = rep;
+  std::size_t j = 0;
+  // Exact mode needs no batch algebra — its per-tuple rank-1 updates are
+  // already exact — and init-phase tuples are buffered one at a time (the
+  // batch decomposition may complete mid-batch).  The robust-eigenvalue
+  // recursion (§II-B closing remark) needs the post-update basis after
+  // every tuple — batching it would change the quantity tracked, not just
+  // its arithmetic — so it pins the engine to batches of one.
+  while (j < n &&
+         (exact_ || !init_done_ || config_.track_robust_eigenvalues)) {
+    reports[j] = observe(*xs[j]);
+    ++j;
   }
-
-  // Pass 2 — price the accepted columns by the unrolled recursion
-  //   C_b = (∏γ̂_i) C_0 + Σ_j fresh_j (∏_{i>j} γ̂_i) y_j y_jᵀ
-  // and decompose once.  applied == 0 (every tuple rejected/skipped) means
-  // C is untouched: no SVD at all, again matching the sequential path.
-  // Rejected tuples leave their reserved columns unused; they are zeroed
-  // rather than the matrix reshaped (a row-major resize would scramble the
-  // staged columns), and zero columns pass through the SVD inert.
-  if (applied > 0) {
-    double suffix = 1.0;
-    for (std::size_t i = applied; i-- > 0;) {
-      const double w = ws_.batch_weights[i] * suffix;
-      ws_.a.scale_col(full + i, std::sqrt(std::max(0.0, w)));
-      suffix *= ws_.batch_gammas[i];
-    }
-    for (std::size_t i = applied; i < b; ++i) {
-      for (std::size_t r = 0; r < d; ++r) ws_.a(r, full + i) = 0.0;
-    }
-    low_rank_update_batch(system_.basis(), system_.eigenvalues(), suffix, b,
-                          system_.rank(), ws_, system_.mutable_basis(),
-                          system_.mutable_eigenvalues());
-  }
-
-  updates_since_qr_ += b;
-  if (config_.reorthonormalize_every > 0 &&
-      updates_since_qr_ >= config_.reorthonormalize_every) {
-    system_.reorthonormalize();
-    updates_since_qr_ = 0;
-  }
+  if (j < n) absorb(xs + j, n - j, nullptr, reports + j);
 }
 
 std::vector<ObservationReport> RobustIncrementalPca::observe_batch(
@@ -364,7 +238,7 @@ void RobustIncrementalPca::initialize_from_buffer() {
 
   // Release the init batch outright (clear() alone would pin n*d doubles of
   // capacity for the engine's lifetime) and size the per-tuple workspace
-  // once; every steady-state update() re-enters it allocation-free.
+  // once; every steady-state absorb() re-enters it allocation-free.
   init_buffer_.clear();
   init_buffer_.shrink_to_fit();
   init_masks_.clear();
@@ -373,109 +247,147 @@ void RobustIncrementalPca::initialize_from_buffer() {
   init_done_ = true;
 }
 
-ObservationReport RobustIncrementalPca::update(const linalg::Vector& x,
-                                               const PixelMask* observed) {
-  ObservationReport rep;
+void RobustIncrementalPca::absorb(const linalg::Vector* const* xs,
+                                  std::size_t b, const PixelMask* observed,
+                                  ObservationReport* reports) {
   const std::size_t p = config_.rank;
+  const std::size_t full = p + config_.extra_rank;
+  const std::size_t d = config_.dim;
+  ws_.ensure(d, full + b);  // shapes ws_.a to d x (k+b)
 
-  // 1. Patch gaps against the current (p+q)-rank basis, in the workspace.
-  const linalg::Vector* xp = &x;
-  if (observed != nullptr) {
-    rep.patched_pixels = fill_gaps_into(system_, x, *observed, ws_.gap);
-    xp = &ws_.gap.patched;
-  }
-
-  // 2. Rank-p residual of the (patched) observation against the OLD system,
-  //    with the §II-D correction on missing bins.  A gappy observation's
-  //    residual has fewer degrees of freedom than a complete one, so its
-  //    scaled residual t is normalized by the coverage-adjusted dof — else
-  //    heavily-gapped spectra are systematically mis-weighted against a σ²
-  //    calibrated on complete ones.
-  double dof_scale = 1.0;
-  double r2;
-  if (observed != nullptr && rep.patched_pixels > 0) {
-    r2 = corrected_squared_residual(system_, p, *xp, *observed, ws_.gap);
-    const std::size_t d = config_.dim;
-    const double full_dof = double(d > p ? d - p : 1);
-    const std::size_t n_obs = d - rep.patched_pixels;
-    const double eff_dof = std::max(1.0, double(n_obs) - double(p));
-    dof_scale = full_dof / eff_dof;
-  } else {
-    // Complete observation: the whole step runs in the engine workspace —
-    // no heap allocation (nor does the gappy branch above, once its
-    // gap-fill scratch is warm).
-    system_.center_into(*xp, ws_.y);
-    system_.basis().transpose_times_into(ws_.y, ws_.coeffs);
-    double proj = 0.0;
-    for (std::size_t k = 0; k < p; ++k) proj += ws_.coeffs[k] * ws_.coeffs[k];
-    r2 = std::max(0.0, ws_.y.squared_norm() - proj);
-  }
-  rep.squared_residual = r2;
-
-  // 3. Robust weights from the pre-update scale.
-  const double sigma2_old = std::max(system_.sigma2(), kTinyResidual);
-  rep.t = r2 * dof_scale / sigma2_old;
-  rep.weight = rho_->weight(rep.t);
-  rep.scale_weight = rho_->scale_weight(rep.t);
-  rep.outlier = rep.t >= rho_->rejection_point();
-  if (rep.outlier) {
-    ++outliers_flagged_;
-    // Rejection-deadlock safety valve: a long unbroken run of rejects means
-    // the scale has collapsed (or the stream jumped regimes); re-estimate
-    // sigma^2 from the rejected residuals so processing can resume.
-    if (config_.reject_reset_threshold > 0) {
-      rejected_residuals_.push_back(std::sqrt(r2 * dof_scale));
-      if (++consecutive_rejects_ >= config_.reject_reset_threshold) {
-        stats::MScaleOptions mopts;
-        mopts.delta = delta_;
-        const double s2 =
-            stats::m_scale(rejected_residuals_, *rho_, mopts).sigma2;
-        if (s2 > 0.0) system_.set_sigma2(s2);
-        rejected_residuals_.clear();
-        consecutive_rejects_ = 0;
-        ++scale_resets_;
-      }
-    }
-  } else {
-    consecutive_rejects_ = 0;
-    rejected_residuals_.clear();
-  }
-
-  // 4. Running sums -> blending coefficients (eq. 12-14).
-  const auto g = system_.mutable_sums().update(rep.weight, rep.weight * r2);
-
-  // 5. Mean (eq. 9).
+  // Steps 1-6 per tuple, in stream order.  Every residual (and therefore
+  // every weight and outlier decision) is judged against the PRE-BATCH
+  // basis, at most b-1 updates stale; the mean, σ² and sums advance per
+  // tuple.  Everything runs in the engine workspace — no heap allocation
+  // once the gap-fill scratch is warm.
   linalg::Vector& mean = system_.mutable_mean();
-  mean *= g.g1;
-  mean.axpy(1.0 - g.g1, *xp);
+  const linalg::Vector* xp = nullptr;
+  double g3 = 1.0;
+  std::size_t staged = 0;
+  for (std::size_t i = 0; i < b; ++i) {
+    ObservationReport rep;
 
-  // 6. Scale (eq. 11), solved simultaneously with the eigen-update.  The
-  //    dof-corrected residual keeps σ² calibrated to full-coverage
-  //    observations even when much of the stream is gappy.  Read the
-  //    current σ² again (not sigma2_old): the safety valve above may just
-  //    have re-estimated it, and eq. (11) must build on that value.
-  const double sigma2_base = std::max(system_.sigma2(), kTinyResidual);
-  const double sigma2_new =
-      g.g3 * sigma2_base +
-      (1.0 - g.g3) * rep.scale_weight * r2 * dof_scale / delta_;
-  system_.set_sigma2(std::max(sigma2_new, kTinyResidual));
+    // 1. Patch gaps against the current (p+q)-rank basis, in the workspace.
+    xp = xs[i];
+    if (observed != nullptr) {
+      rep.patched_pixels = fill_gaps_into(system_, *xs[i], *observed, ws_.gap);
+      xp = &ws_.gap.patched;
+    }
 
-  // 7. Covariance via the low-rank SVD (eq. 10 realized through eq. 1-3).
-  //    fresh weight = (1-gamma2) * sigma2 / r2; gamma2 == 1 for outliers, so
-  //    their direction never enters the eigensystem.
-  if (g.g2 < 1.0 && r2 > kTinyResidual) {
-    system_.center_into(*xp, ws_.y);  // against the new mean
-    const double fresh = (1.0 - g.g2) * system_.sigma2() / r2;
-    low_rank_update(system_.basis(), system_.eigenvalues(), ws_.y, g.g2,
-                    fresh, system_.rank(), ws_, system_.mutable_basis(),
+    // 2. Rank-p residual of the (patched) observation against the OLD
+    //    system, with the §II-D correction on missing bins.  A gappy
+    //    observation's residual has fewer degrees of freedom than a
+    //    complete one, so its scaled residual t is normalized by the
+    //    coverage-adjusted dof — else heavily-gapped spectra are
+    //    systematically mis-weighted against a σ² calibrated on complete
+    //    ones.
+    double dof_scale = 1.0;
+    double r2;
+    if (rep.patched_pixels > 0) {
+      r2 = corrected_squared_residual(system_, p, *xp, *observed, ws_.gap);
+      const double full_dof = double(d > p ? d - p : 1);
+      const std::size_t n_obs = d - rep.patched_pixels;
+      const double eff_dof = std::max(1.0, double(n_obs) - double(p));
+      dof_scale = full_dof / eff_dof;
+    } else {
+      system_.center_into(*xp, ws_.y);
+      system_.basis().transpose_times_into(ws_.y, ws_.coeffs);
+      double proj = 0.0;
+      for (std::size_t k = 0; k < p; ++k) proj += ws_.coeffs[k] * ws_.coeffs[k];
+      r2 = std::max(0.0, ws_.y.squared_norm() - proj);
+    }
+    rep.squared_residual = r2;
+
+    // 3. Robust weights from the pre-update scale.
+    const double sigma2_old = std::max(system_.sigma2(), kTinyResidual);
+    rep.t = r2 * dof_scale / sigma2_old;
+    rep.weight = rho_->weight(rep.t);
+    rep.scale_weight = rho_->scale_weight(rep.t);
+    rep.outlier = rep.t >= rho_->rejection_point();
+    if (rep.outlier) {
+      ++outliers_flagged_;
+      // Rejection-deadlock safety valve: a long unbroken run of rejects
+      // means the scale has collapsed (or the stream jumped regimes);
+      // re-estimate σ² from the rejected residuals so processing resumes.
+      if (config_.reject_reset_threshold > 0) {
+        rejected_residuals_.push_back(std::sqrt(r2 * dof_scale));
+        if (++consecutive_rejects_ >= config_.reject_reset_threshold) {
+          stats::MScaleOptions mopts;
+          mopts.delta = delta_;
+          const double s2 =
+              stats::m_scale(rejected_residuals_, *rho_, mopts).sigma2;
+          if (s2 > 0.0) system_.set_sigma2(s2);
+          rejected_residuals_.clear();
+          consecutive_rejects_ = 0;
+          ++scale_resets_;
+        }
+      }
+    } else {
+      consecutive_rejects_ = 0;
+      rejected_residuals_.clear();
+    }
+
+    // 4. Running sums -> blending coefficients (eq. 12-14).
+    const auto g = system_.mutable_sums().update(rep.weight, rep.weight * r2);
+    g3 = g.g3;
+
+    // 5. Mean (eq. 9).
+    mean *= g.g1;
+    mean.axpy(1.0 - g.g1, *xp);
+
+    // 6. Scale (eq. 11), solved simultaneously with the eigen-update.  The
+    //    dof-corrected residual keeps σ² calibrated to full-coverage
+    //    observations even when much of the stream is gappy.  Read the
+    //    current σ² again (not sigma2_old): the safety valve above may just
+    //    have re-estimated it, and eq. (11) must build on that value.
+    const double sigma2_base = std::max(system_.sigma2(), kTinyResidual);
+    const double sigma2_new =
+        g.g3 * sigma2_base +
+        (1.0 - g.g3) * rep.scale_weight * r2 * dof_scale / delta_;
+    system_.set_sigma2(std::max(sigma2_new, kTinyResidual));
+
+    // Stage the covariance contribution (eq. 10): the direction centered
+    // against the new mean, with its blending pair (γ₂, fresh weight
+    // (1-γ₂)·σ²/r²).  An outlier (γ₂ == 1) or a residual too tiny to
+    // normalize leaves C untouched and stages nothing.
+    if (g.g2 < 1.0 && r2 > kTinyResidual) {
+      ws_.a.set_col_diff_scaled(full + staged, *xp, mean, 1.0);
+      ws_.batch_gammas[staged] = g.g2;
+      ws_.batch_weights[staged] = (1.0 - g.g2) * system_.sigma2() / r2;
+      ++staged;
+    }
+
+    system_.count_observation();
+    reports[i] = rep;
+  }
+
+  // 7. Covariance via the low-rank SVD (eq. 10 realized through eq. 1-3):
+  //    price the staged columns by the unrolled recursion
+  //      C_b = (∏γ̂_i) C_0 + Σ_j fresh_j (∏_{i>j} γ̂_i) y_j y_jᵀ
+  //    and decompose once.  Nothing staged means C is untouched: no SVD.
+  //    Columns reserved for rejected tuples are zeroed rather than the
+  //    matrix reshaped (a row-major resize would scramble the staged
+  //    columns); zero columns pass through the SVD inert.
+  if (staged > 0) {
+    double suffix = 1.0;
+    for (std::size_t i = staged; i-- > 0;) {
+      const double w = ws_.batch_weights[i] * suffix;
+      ws_.a.scale_col(full + i, std::sqrt(std::max(0.0, w)));
+      suffix *= ws_.batch_gammas[i];
+    }
+    for (std::size_t i = staged; i < b; ++i) {
+      for (std::size_t r = 0; r < d; ++r) ws_.a(r, full + i) = 0.0;
+    }
+    low_rank_update(system_.basis(), system_.eigenvalues(), suffix, b, full,
+                    ws_, system_.mutable_basis(),
                     system_.mutable_eigenvalues());
   }
 
   // 8. Optional robust per-component scales (§II-B closing remark): the same
-  //    σ² recursion with the residual replaced by the projection onto e_k.
+  //    σ² recursion with the residual replaced by the projection onto e_k
+  //    of the post-update basis.  Tracking engines only run batches of
+  //    one, so xp and g3 belong to the tuple just absorbed.
   if (config_.track_robust_eigenvalues) {
-    // Re-center explicitly: step 7 may have been skipped (outlier), so
-    // ws_.y is not guaranteed to hold x - mu against the current mean.
     system_.center_into(*xp, ws_.y);
     system_.basis().transpose_times_into(ws_.y, ws_.coeffs);
     const linalg::Vector& c = ws_.coeffs;
@@ -484,18 +396,16 @@ ObservationReport RobustIncrementalPca::update(const linalg::Vector& x,
       const double sk2 = std::max(robust_eigenvalues_[k], kTinyResidual);
       const double wk = rho_->scale_weight(ck2 / sk2);
       robust_eigenvalues_[k] =
-          g.g3 * robust_eigenvalues_[k] + (1.0 - g.g3) * wk * ck2 / delta_;
+          g3 * robust_eigenvalues_[k] + (1.0 - g3) * wk * ck2 / delta_;
     }
   }
 
-  system_.count_observation();
-
+  updates_since_qr_ += b;
   if (config_.reorthonormalize_every > 0 &&
-      ++updates_since_qr_ >= config_.reorthonormalize_every) {
+      updates_since_qr_ >= config_.reorthonormalize_every) {
     system_.reorthonormalize();
     updates_since_qr_ = 0;
   }
-  return rep;
 }
 
 EigenSystem RobustIncrementalPca::reported_system() const {

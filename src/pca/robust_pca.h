@@ -85,7 +85,8 @@ class RobustIncrementalPca {
  public:
   explicit RobustIncrementalPca(const RobustPcaConfig& config);
 
-  /// Consume one complete observation.
+  /// Consume one complete observation: a batch of one, through the same
+  /// update path as observe_batch().
   ObservationReport observe(const linalg::Vector& x);
 
   /// Consume an observation with missing pixels (mask[i] == observed).
@@ -101,8 +102,9 @@ class RobustIncrementalPca {
   /// sequentially exactly as n observe() calls would.  Outliers (w = 0)
   /// contribute γ₂ = 1 and no column, identical to the sequential path.
   /// Tuples still inside the init phase are buffered individually, and
-  /// engines tracking robust eigenvalues fall back to the sequential path
-  /// (the per-component recursion needs the post-update basis per tuple).
+  /// engines tracking robust eigenvalues take batches of one (the
+  /// per-component recursion needs the post-update basis per tuple).
+  /// Every tuple's length is checked before any state changes.
   void observe_batch(const linalg::Vector* const* xs, std::size_t n,
                      ObservationReport* reports);
   std::vector<ObservationReport> observe_batch(
@@ -174,7 +176,17 @@ class RobustIncrementalPca {
 
  private:
   void initialize_from_buffer();
-  ObservationReport update(const linalg::Vector& x, const PixelMask* observed);
+  /// observe() with an optional mask: exact-mode delegation, init
+  /// buffering, or absorb() with b = 1.
+  ObservationReport observe_one(const linalg::Vector& x,
+                                const PixelMask* observed);
+  /// The one update path (eq. 4-14): each of the `b` tuples is patched
+  /// (when `observed` is given — masked tuples come one at a time),
+  /// weighted and folded into the sums, mean and σ², and its accepted
+  /// direction is staged in ws_.a; then one low_rank_update() decomposes
+  /// them all.  observe() is this with b = 1.
+  void absorb(const linalg::Vector* const* xs, std::size_t b,
+              const PixelMask* observed, ObservationReport* reports);
 
   RobustPcaConfig config_;
   std::unique_ptr<ExactIpca> exact_;  ///< non-null iff mode == kExact

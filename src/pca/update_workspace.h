@@ -46,8 +46,8 @@ struct UpdateWorkspace {
   GapFillWorkspace gap;
 
   /// Pre-grows every buffer for a d-dimensional engine whose A matrix has
-  /// `cols` columns — k+1 for the per-tuple path, k+b for a micro-batch of
-  /// b observations.  Idempotent and never shrinks, so calling it again
+  /// `cols` columns — k+b for a batch of b observations (k+1 for a single
+  /// observe()).  Idempotent and never shrinks, so calling it again
   /// (checkpoint restore, merge install, batch-size growth) on an
   /// already-sized workspace is free once the high-water shape is reached.
   void ensure(std::size_t d, std::size_t cols) {

@@ -19,7 +19,6 @@
 namespace {
 
 using astro::linalg::Matrix;
-using astro::linalg::SvdOptions;
 using astro::linalg::SvdWorkspace;
 using astro::linalg::ThinUView;
 using astro::linalg::Vector;
@@ -152,8 +151,7 @@ TEST(SimdDispatch, SvdLeftBitIdenticalAcrossModes) {
   Vector s_scalar;
   {
     SvdWorkspace ws;
-    astro::linalg::svd_left_inplace(a, ws, ThinUView{&u_scalar, &s_scalar},
-                                    SvdOptions{});
+    astro::linalg::svd_left_inplace(a, ws, ThinUView{&u_scalar, &s_scalar});
   }
 
   for (simd::Mode m : supported_vector_modes()) {
@@ -162,8 +160,7 @@ TEST(SimdDispatch, SvdLeftBitIdenticalAcrossModes) {
     Vector s_vec;
     {
       SvdWorkspace ws;
-      astro::linalg::svd_left_inplace(a, ws, ThinUView{&u_vec, &s_vec},
-                                      SvdOptions{});
+      astro::linalg::svd_left_inplace(a, ws, ThinUView{&u_vec, &s_vec});
     }
     ASSERT_EQ(u_scalar.rows(), u_vec.rows());
     ASSERT_EQ(u_scalar.cols(), u_vec.cols());

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "pca/incremental_pca.h"
@@ -133,7 +134,7 @@ TEST(BatchedClassic, BatchOfOneIsBitIdenticalToObserve) {
     const Vector x = draw(model, rng);
     a.observe(x);
     const Vector* p = &x;
-    b.observe_batch(&p, 1);  // delegates to the same update() — bit-equal
+    b.observe_batch(&p, 1);  // observe() is this same batch of one
   }
   ASSERT_TRUE(a.initialized());
   for (std::size_t c = 0; c < 3; ++c) {
@@ -289,6 +290,63 @@ TEST(BatchedRobust, FlagsInjectedOutliersLikeSequential) {
   EXPECT_GT(subspace_affinity(sequential.eigensystem().basis(),
                               batched.eigensystem().basis()),
             0.98);
+}
+
+// ---------------------------------------------------------------------------
+// A malformed tuple is rejected before any state moves, whatever the batch
+// size: the sums, mean and eigensystem stay bit-identical.
+
+void expect_same_state(const EigenSystem& a, const EigenSystem& b) {
+  EXPECT_EQ(a.basis(), b.basis());
+  EXPECT_EQ(a.eigenvalues(), b.eigenvalues());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.sigma2(), b.sigma2());
+  EXPECT_EQ(a.sums().u(), b.sums().u());
+  EXPECT_EQ(a.sums().v(), b.sums().v());
+  EXPECT_EQ(a.sums().q(), b.sums().q());
+  EXPECT_EQ(a.observations(), b.observations());
+}
+
+TEST(BatchedClassic, WrongLengthSingleTupleBatchThrowsBeforeAnyUpdate) {
+  Rng rng(31);
+  const auto model = make_model(rng, 16, 3);
+  IncrementalPcaConfig cfg;
+  cfg.dim = 16;
+  cfg.rank = 3;
+  IncrementalPca engine(cfg);
+  for (std::size_t i = 0; i < cfg.init_count + 32; ++i) {
+    engine.observe(draw(model, rng));
+  }
+  ASSERT_TRUE(engine.initialized());
+  const EigenSystem before = engine.eigensystem();
+  for (const std::size_t len : {cfg.dim + 1, cfg.dim - 1}) {
+    const Vector bad(len, 0.5);
+    const Vector* p = &bad;
+    EXPECT_THROW(engine.observe_batch(&p, 1), std::invalid_argument) << len;
+    expect_same_state(before, engine.eigensystem());
+  }
+}
+
+TEST(BatchedRobust, WrongLengthSingleTupleBatchThrowsBeforeAnyUpdate) {
+  Rng rng(37);
+  const auto model = make_model(rng, 16, 3);
+  RobustPcaConfig cfg;
+  cfg.dim = 16;
+  cfg.rank = 3;
+  RobustIncrementalPca engine(cfg);
+  for (std::size_t i = 0; i < cfg.init_count + 32; ++i) {
+    engine.observe(draw(model, rng));
+  }
+  ASSERT_TRUE(engine.initialized());
+  const EigenSystem before = engine.eigensystem();
+  for (const std::size_t len : {cfg.dim + 1, cfg.dim - 1}) {
+    const Vector bad(len, 0.5);
+    const Vector* p = &bad;
+    ObservationReport rep;
+    EXPECT_THROW(engine.observe_batch(&p, 1, &rep), std::invalid_argument)
+        << len;
+    expect_same_state(before, engine.eigensystem());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "pca/batch_pca.h"
 #include "pca/subspace.h"
 #include "stats/rng.h"
@@ -157,6 +159,21 @@ TEST(IncrementalPca, SetEigensystemValidatesShape) {
   EXPECT_TRUE(pca.initialized());
 }
 
+// One tuple through the batch kernel: y·√fresh staged as the single fresh
+// column, γ as the history scale.
+void low_rank_update_one(const linalg::Matrix& basis,
+                         const linalg::Vector& lambda, const linalg::Vector& y,
+                         double gamma, double fresh, std::size_t p,
+                         linalg::Matrix& e_out, linalg::Vector& l_out) {
+  UpdateWorkspace ws;
+  const std::size_t k = lambda.size();
+  ws.a.resize_no_shrink(y.size(), k + 1);
+  for (std::size_t r = 0; r < y.size(); ++r) {
+    ws.a(r, k) = y[r] * std::sqrt(fresh);
+  }
+  low_rank_update(basis, lambda, gamma, 1, p, ws, e_out, l_out);
+}
+
 TEST(LowRankUpdate, PreservesTotalVarianceWeighting) {
   // gamma * lambda + (1-gamma) * |y|^2 equals the new eigenvalue mass when
   // p covers the full column space of A.
@@ -168,7 +185,7 @@ TEST(LowRankUpdate, PreservesTotalVarianceWeighting) {
 
   linalg::Matrix e_out;
   linalg::Vector l_out;
-  low_rank_update(basis, lambda, y, gamma, 1.0 - gamma, 3, &e_out, &l_out);
+  low_rank_update_one(basis, lambda, y, gamma, 1.0 - gamma, 3, e_out, l_out);
 
   const double mass_in = gamma * (5.0 + 2.0) + (1.0 - gamma) * y.squared_norm();
   EXPECT_NEAR(l_out.sum(), mass_in, 1e-9);
@@ -183,7 +200,7 @@ TEST(LowRankUpdate, RankPadsWithZeros) {
   linalg::Vector y{0.0, 2.0, 0.0, 0.0};
   linalg::Matrix e_out;
   linalg::Vector l_out;
-  low_rank_update(basis, lambda, y, 0.5, 0.5, 4, &e_out, &l_out);
+  low_rank_update_one(basis, lambda, y, 0.5, 0.5, 4, e_out, l_out);
   EXPECT_EQ(l_out.size(), 4u);
   EXPECT_NEAR(l_out[2], 0.0, 1e-12);
   EXPECT_NEAR(l_out[3], 0.0, 1e-12);

@@ -76,7 +76,12 @@ TEST(ScaleImplosionGuard, SmallOverfitBatchStaysFinite) {
   }
 }
 
-TEST(SafetyValve, RecoversFromCollapsedScale) {
+// The valve must fire whether rejects arrive one at a time or inside
+// micro-batches, where a run of rejects spans several observe_batch calls.
+class SafetyValve : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SafetyValve, RecoversFromCollapsedScale) {
+  const std::size_t batch = GetParam();
   Rng rng(613);
   const auto model = testing::make_model(rng, 15, 2, 3.0, 0.05);
 
@@ -92,7 +97,9 @@ TEST(SafetyValve, RecoversFromCollapsedScale) {
   sabotaged.set_sigma2(1e-12);
   engine.set_eigensystem(std::move(sabotaged));
 
-  for (int i = 0; i < 400; ++i) engine.observe(testing::draw(model, rng));
+  for (std::size_t i = 0; i < 400; i += batch) {
+    engine.observe_batch(testing::draw_many(model, rng, batch));
+  }
   EXPECT_GE(engine.scale_resets(), 1u);
   // Processing resumed: recent clean data accepted, subspace still good.
   const auto rep = engine.observe(testing::draw(model, rng));
@@ -100,6 +107,10 @@ TEST(SafetyValve, RecoversFromCollapsedScale) {
   EXPECT_GT(subspace_affinity(engine.eigensystem().basis(), model.basis),
             0.95);
 }
+
+INSTANTIATE_TEST_SUITE_P(BatchSizes, SafetyValve,
+                         ::testing::Values(std::size_t(1), std::size_t(8)),
+                         ::testing::PrintToStringParamName());
 
 TEST(SafetyValve, DisabledWhenThresholdZero) {
   Rng rng(617);

@@ -1,10 +1,13 @@
-// Equivalence of the workspace-based low_rank_update with the allocating
-// pointer overload (which wraps it), including the aliased-output form the
-// engines use (e_out == basis, lambda_out == eigenvalues).
+// The one low_rank_update kernel on a single fresh column (batch = 1, as
+// observe() runs it): a reused workspace matches a fresh one bit for bit,
+// including the aliased-output form the engines use (e_out == basis,
+// lambda_out == eigenvalues), and stale outputs are fully rewritten.
 
 #include "pca/update_workspace.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "linalg/qr.h"
 #include "pca/incremental_pca.h"
@@ -34,6 +37,27 @@ Inputs make_setup(std::uint64_t seed, std::size_t d, std::size_t k) {
   return s;
 }
 
+// Stages y·√fresh as the single fresh column of ws.a — exactly what the
+// estimators' per-tuple step does — and runs the kernel with γ as the
+// history scale.
+void update_one(const Matrix& basis, const Vector& eigenvalues,
+                const Vector& y, double gamma, double fresh, std::size_t p,
+                UpdateWorkspace& ws, Matrix& e_out, Vector& l_out) {
+  const std::size_t k = eigenvalues.size();
+  ws.a.resize_no_shrink(y.size(), k + 1);
+  for (std::size_t r = 0; r < y.size(); ++r) {
+    ws.a(r, k) = y[r] * std::sqrt(fresh);
+  }
+  low_rank_update(basis, eigenvalues, gamma, 1, p, ws, e_out, l_out);
+}
+
+// Reference: a fresh workspace for every call.
+void update_fresh(const Inputs& s, double gamma, double fresh, std::size_t p,
+                  Matrix& e_out, Vector& l_out) {
+  UpdateWorkspace ws;
+  update_one(s.basis, s.eigenvalues, s.y, gamma, fresh, p, ws, e_out, l_out);
+}
+
 TEST(LowRankUpdateWorkspace, InPlaceMatchesAllocatingBitForBit) {
   UpdateWorkspace ws;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -43,12 +67,11 @@ TEST(LowRankUpdateWorkspace, InPlaceMatchesAllocatingBitForBit) {
 
     Matrix e_ref;
     Vector l_ref;
-    low_rank_update(s.basis, s.eigenvalues, s.y, 0.9, 0.1, k, &e_ref, &l_ref);
+    update_fresh(s, 0.9, 0.1, k, e_ref, l_ref);
 
     Matrix e_new;
     Vector l_new;
-    low_rank_update(s.basis, s.eigenvalues, s.y, 0.9, 0.1, k, ws, e_new,
-                    l_new);
+    update_one(s.basis, s.eigenvalues, s.y, 0.9, 0.1, k, ws, e_new, l_new);
     EXPECT_EQ(e_new, e_ref) << "seed " << seed;
     EXPECT_EQ(l_new, l_ref) << "seed " << seed;
   }
@@ -61,12 +84,12 @@ TEST(LowRankUpdateWorkspace, AliasedOutputsMatchNonAliased) {
   const Inputs s = make_setup(42, 30, 5);
   Matrix e_ref;
   Vector l_ref;
-  low_rank_update(s.basis, s.eigenvalues, s.y, 0.95, 0.05, 5, &e_ref, &l_ref);
+  update_fresh(s, 0.95, 0.05, 5, e_ref, l_ref);
 
   UpdateWorkspace ws;
   Matrix basis = s.basis;
   Vector lambda = s.eigenvalues;
-  low_rank_update(basis, lambda, s.y, 0.95, 0.05, 5, ws, basis, lambda);
+  update_one(basis, lambda, s.y, 0.95, 0.05, 5, ws, basis, lambda);
   EXPECT_EQ(basis, e_ref);
   EXPECT_EQ(lambda, l_ref);
 }
@@ -80,11 +103,11 @@ TEST(LowRankUpdateWorkspace, RankLargerThanColumnsZeroFillsTail) {
   Vector l_out(6);
   e_out.fill(123.0);
   l_out.fill(456.0);
-  low_rank_update(s.basis, s.eigenvalues, s.y, 0.9, 0.1, 6, ws, e_out, l_out);
+  update_one(s.basis, s.eigenvalues, s.y, 0.9, 0.1, 6, ws, e_out, l_out);
 
   Matrix e_ref;
   Vector l_ref;
-  low_rank_update(s.basis, s.eigenvalues, s.y, 0.9, 0.1, 6, &e_ref, &l_ref);
+  update_fresh(s, 0.9, 0.1, 6, e_ref, l_ref);
   EXPECT_EQ(e_out, e_ref);
   EXPECT_EQ(l_out, l_ref);
   for (std::size_t c = 3; c < 6; ++c) {
