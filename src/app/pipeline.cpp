@@ -312,7 +312,7 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
   std::vector<stream::ChannelPtr<ControlTuple>> engine_control;
   for (std::size_t i = 0; i < n; ++i) {
     engine_control.push_back(make_named_channel<ControlTuple>(
-        "chan.router->pca-" + std::to_string(i), 256));
+        "chan.sync->pca-" + std::to_string(i), 256));
   }
 
   if (config.collect_outliers) {
@@ -412,13 +412,9 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
   }
 
   if (config.sync_rate_hz > 0.0 && n > 1) {
-    control_raw_ =
-        make_named_channel<ControlTuple>("chan.controller->throttle", 256);
-    auto throttled =
-        make_named_channel<ControlTuple>("chan.throttle->router", 256);
     controller_ = graph_.add<sync::SyncController>(
-        "sync-controller", sync::make_strategy(config.sync_strategy), n,
-        control_raw_);
+        "sync-controller", sync::make_strategy(config.sync_strategy),
+        engine_control, config.sync_rate_hz);
     if (supervisor_) {
       // Degraded mode: merge rounds route around dead engines and fold a
       // restarted engine's recovered state back in on rejoin.
@@ -442,13 +438,6 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
               {"skipped_unhealthy", double(c->skipped_unhealthy())}};
         },
         this);
-    sync_throttle_ = graph_.add<stream::ThrottleOperator<ControlTuple>>(
-        "sync-throttle", control_raw_, throttled, config.sync_rate_hz);
-    registry_.add_operator("sync-throttle", &sync_throttle_->metrics(), {},
-                           this);
-    auto* router = graph_.add<sync::ControlRouter>("control-router", throttled,
-                                                   engine_control);
-    registry_.add_operator("control-router", &router->metrics(), {}, this);
   } else {
     // No controller: close the control ports so engines can exit once the
     // data plane drains.
@@ -541,14 +530,8 @@ void StreamingPcaPipeline::wait() {
     shm_downlink_->join();
   }
   split_->join();
-  if (controller_ != nullptr) {
-    controller_->request_stop();
-    control_raw_->close();  // unblocks a controller mid-push
-    // Stop the throttle too: it would otherwise drain the controller's
-    // queued rounds at the throttled pace, stretching shutdown by
-    // backlog/rate seconds.
-    sync_throttle_->request_stop();
-  }
+  // The controller wakes from its pacing wait and closes the control ports.
+  if (controller_ != nullptr) controller_->request_stop();
   // The supervisor exits once every engine reaches kCompleted; joining it
   // *before* the engines guarantees no restart is in flight while the
   // engine joins below reap the final incarnations.
@@ -586,7 +569,6 @@ void StreamingPcaPipeline::stop() {
   // drains the ports of any still-crashed engine so the splitter cannot
   // stay blocked on a consumer that will never return.
   if (supervisor_) supervisor_->request_stop();
-  if (control_raw_) control_raw_->close();
 }
 
 std::vector<stream::RegistrySnapshot> StreamingPcaPipeline::metrics_history()

@@ -5,7 +5,7 @@
 //   source ─> split ─┬─> PCA engine 0 ─┐
 //            (+gate) ├─> PCA engine 1 ─┼─ StateExchange (sync merges)
 //                    └─> PCA engine n ─┘
-//   sync controller ─> throttle ─> control router ─> engines (control ports)
+//   sync controller ─> engines (control ports; paced at sync_rate_hz)
 //
 // plus an optional outlier stream collecting the observations the robust
 // weighting rejected.  One call builds the graph; run() blocks until the
@@ -31,7 +31,6 @@
 #include "stream/sink.h"
 #include "stream/source.h"
 #include "stream/split.h"
-#include "stream/throttle.h"
 #include "stream/tuple_arena.h"
 #include "sync/checkpoint_store.h"
 #include "sync/controller.h"
@@ -51,8 +50,9 @@ struct PipelineConfig {
   std::size_t engines = 4;     ///< parallel PCA instances
   stream::SplitStrategy split = stream::SplitStrategy::kRandom;
   std::string sync_strategy = "ring";
-  /// Sync rounds per second through the Throttle (paper used one round per
-  /// 0.5 s).  <= 0 disables synchronization entirely.
+  /// Sync commands per second, paced by the controller (the paper's
+  /// Throttle: one round per 0.5 s).  <= 0 disables synchronization
+  /// entirely.
   double sync_rate_hz = 2.0;
   double independence_factor = 1.5;           ///< the paper's 1.5·N gate
   std::uint64_t independence_fallback = 10000; ///< used when alpha == 1
@@ -324,8 +324,6 @@ class StreamingPcaPipeline {
   stream::ChannelPtr<stream::DeadLetter> dead_letter_channel_;
   stream::SplitOperator* split_ = nullptr;
   sync::SyncController* controller_ = nullptr;
-  stream::Operator* sync_throttle_ = nullptr;
-  stream::ChannelPtr<stream::ControlTuple> control_raw_;
   std::vector<sync::PcaEngineOperator*> engines_;
   std::vector<stream::ChannelPtr<stream::DataTuple>> engine_data_;
   stream::CollectorSink<stream::DataTuple>* outlier_sink_ = nullptr;

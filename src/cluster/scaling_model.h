@@ -46,8 +46,8 @@ struct SimPipelineConfig {
   /// Engine input-queue depth (tuples in flight per engine, the closed-loop
   /// window).  Matches the real engine's bounded channel.
   std::size_t window = 32;
-  /// Synchronization rounds per second (0 disables).  Paper: 2 (0.5 s
-  /// throttle).
+  /// Synchronization rounds per second (0 disables).  Paper: 2 (its
+  /// Throttle at 0.5 s; the real pipeline's controller paces the same).
   double sync_rate_hz = 2.0;
 };
 

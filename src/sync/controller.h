@@ -1,15 +1,20 @@
 #pragma once
 
 // The synchronization controller (paper §III-B): "generates the sequence of
-// output tuples with sender and receiver number", paced by a Throttle
-// operator downstream, routed to the sender engine's control port.
+// output tuples with sender and receiver number" and hands each one to the
+// sender engine's control port.
 //
-//   SyncController --> Throttle<ControlTuple> --> ControlRouter --> engines
+//   SyncController --> engines (control ports)
 //
-// The controller emits rounds forever (until stopped or its output closes);
-// the throttle sets the wall-clock sync rate — "adjusting the Throttle
-// operator timing helps finding the balance between the overall cluster
-// performance and eigensystems consistency."
+// The paper wires a Throttle operator between the controller and the
+// engines; here the controller paces itself with the same rules — one
+// command per period (1/rate_hz), re-anchored to the last tick so an idle
+// stretch banks no burst — "adjusting the Throttle operator timing helps
+// finding the balance between the overall cluster performance and
+// eigensystems consistency."  Every decision (which command, the health
+// and liveness filters, the rejoin check) is taken on the tick that emits
+// it, so it acts on the engines' state now, not on the state when a queued
+// round was generated.
 
 #include <functional>
 #include <memory>
@@ -32,15 +37,16 @@ class SyncController final : public stream::Operator {
   /// recovers, so its poisoned state can never reach a healthy peer.
   using HealthProbe = std::function<bool(std::size_t engine)>;
 
+  /// `ports[i]` is engine i's control port; the controller closes every
+  /// port when it exits.  `rate_hz` (> 0) is the command rate.
   SyncController(std::string name, std::unique_ptr<SyncStrategy> strategy,
-                 std::size_t engines,
-                 stream::ChannelPtr<stream::ControlTuple> out,
-                 std::uint64_t max_rounds = 0);
+                 std::vector<stream::ChannelPtr<stream::ControlTuple>> ports,
+                 double rate_hz);
 
   /// Enables degraded-mode operation (call before start()).  With probes
-  /// installed, commands naming a dead sender or receiver are dropped from
-  /// the round — the survivors keep syncing among themselves — and when an
-  /// engine's generation advances (it was restarted and is alive again) the
+  /// installed, commands naming a dead sender or receiver are skipped — the
+  /// survivors keep syncing among themselves — and when an engine's
+  /// generation advances (it was restarted and is alive again) the
   /// controller injects a bidirectional re-merge with its lowest-index live
   /// peer, folding the recovered eigensystem back into the cluster.
   void set_liveness(LivenessProbe alive, GenerationProbe generation);
@@ -55,19 +61,20 @@ class SyncController final : public stream::Operator {
     return *strategy_;
   }
 
-  /// Sync rounds emitted so far (readable live from a sampler thread).
+  /// Strategy rounds run so far: rounds with at least one command handed
+  /// to a port (readable live from a sampler thread).
   [[nodiscard]] std::uint64_t rounds() const noexcept {
     return rounds_.load(std::memory_order_relaxed);
   }
-  /// Commands suppressed because an endpoint was dead.
+  /// Commands skipped because an endpoint was dead.
   [[nodiscard]] std::uint64_t skipped_dead() const noexcept {
     return skipped_dead_.load(std::memory_order_relaxed);
   }
-  /// Extra re-merge commands injected for rejoining engines.
+  /// Re-merge commands handed to a port for rejoining engines.
   [[nodiscard]] std::uint64_t rejoin_syncs() const noexcept {
     return rejoin_syncs_.load(std::memory_order_relaxed);
   }
-  /// Commands suppressed because an endpoint was quarantined (unhealthy).
+  /// Commands skipped because an endpoint was quarantined (unhealthy).
   [[nodiscard]] std::uint64_t skipped_unhealthy() const noexcept {
     return skipped_unhealthy_.load(std::memory_order_relaxed);
   }
@@ -76,10 +83,15 @@ class SyncController final : public stream::Operator {
   void run() override;
 
  private:
+  /// Health then liveness filter; counts the skip it makes.
+  bool admitted(const stream::ControlTuple& cmd);
+  /// Non-blocking hand-off to the sender's port, as engines forward to
+  /// peers: a full port delays consistency but never stalls the controller.
+  bool deliver(stream::ControlTuple cmd);
+
   std::unique_ptr<SyncStrategy> strategy_;
-  std::size_t engines_;
-  stream::ChannelPtr<stream::ControlTuple> out_;
-  std::uint64_t max_rounds_;  // 0 = unbounded
+  std::vector<stream::ChannelPtr<stream::ControlTuple>> ports_;
+  double rate_hz_;
   LivenessProbe alive_;            // empty = every engine always live
   GenerationProbe generation_;
   HealthProbe health_;             // empty = every engine always healthy
@@ -87,21 +99,6 @@ class SyncController final : public stream::Operator {
   std::atomic<std::uint64_t> skipped_dead_{0};
   std::atomic<std::uint64_t> rejoin_syncs_{0};
   std::atomic<std::uint64_t> skipped_unhealthy_{0};
-};
-
-/// Delivers each throttled control tuple to its *sender* engine's control
-/// port; the sender publishes state and forwards to the receiver.
-class ControlRouter final : public stream::Operator {
- public:
-  ControlRouter(std::string name, stream::ChannelPtr<stream::ControlTuple> in,
-                std::vector<stream::ChannelPtr<stream::ControlTuple>> engines);
-
- protected:
-  void run() override;
-
- private:
-  stream::ChannelPtr<stream::ControlTuple> in_;
-  std::vector<stream::ChannelPtr<stream::ControlTuple>> engines_;
 };
 
 }  // namespace astro::sync

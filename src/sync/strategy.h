@@ -2,8 +2,7 @@
 
 // Synchronization strategies (paper §III-B): who shares state with whom in
 // each round.  The controller asks the strategy for the next round's
-// (sender, receiver) commands; the Throttle operator downstream paces how
-// often rounds fire.
+// (sender, receiver) commands and paces them itself, one per sync period.
 
 #include <cstdint>
 #include <memory>

@@ -3,7 +3,7 @@
 // stop -> join is bounded by a wake-up, not by the period being waited out.
 // Each scenario parks an operator in a wait of an hour and checks that stop
 // lands within kStopBound; the pipeline scenario checks that wait() returns
-// within kResultBound of the last engine apply at several throttle phases.
+// within kResultBound of the last engine apply at several sync-tick phases.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -21,7 +21,7 @@
 #include "app/pipeline.h"
 #include "stats/rng.h"
 #include "stream/net.h"
-#include "stream/throttle.h"
+#include "sync/controller.h"
 #include "tests/pca/test_data.h"
 
 namespace astro {
@@ -32,7 +32,7 @@ using namespace std::chrono_literals;
 
 /// Stop -> join bound for an operator parked in an hour-long wait.
 constexpr auto kStopBound = 500ms;
-/// Last engine apply -> wait() returned, with the sync throttle at 2 Hz.
+/// Last engine apply -> wait() returned, with sync commands paced at 2 Hz.
 constexpr auto kResultBound = 100ms;
 
 long long ms(Clock::duration d) {
@@ -112,30 +112,25 @@ TEST(ShutdownWait, StopRacingThePark) {
   }
 }
 
-TEST(ShutdownThrottle, ParkedOnPacingWaitStopsAndJoins) {
-  auto in = stream::make_channel<stream::DataTuple>(4);
-  auto out = stream::make_channel<stream::DataTuple>(4);
-  stream::ThrottleOperator<stream::DataTuple> throttle("throttle", in, out,
-                                                       1.0 / 3600.0);
-  throttle.start();
-  for (int i = 0; i < 2; ++i) {
-    stream::DataTuple t;
-    t.seq = std::uint64_t(i);
-    ASSERT_TRUE(in->push(std::move(t)));
-  }
-  // The first tuple passes at once; the second parks the throttle for an
-  // hour.
-  stream::DataTuple first;
-  ASSERT_TRUE(out->pop_for(first, 5s));
-  ASSERT_TRUE(poll_until([&] { return in->size() == 0; }));
+TEST(ShutdownSyncController, ParkedOnPacingWaitStopsAndJoins) {
+  auto ports = std::vector<stream::ChannelPtr<stream::ControlTuple>>{
+      stream::make_channel<stream::ControlTuple>(4),
+      stream::make_channel<stream::ControlTuple>(4)};
+  sync::SyncController controller("sync", sync::make_strategy("ring"), ports,
+                                  1.0 / 3600.0);
+  controller.start();
+  // The first command goes out at once; the second parks the controller
+  // for an hour.
+  ASSERT_TRUE(poll_until([&] { return ports[0]->size() == 1; }));
   std::this_thread::sleep_for(20ms);
 
-  const auto took = stop_and_join(throttle);
+  const auto took = stop_and_join(controller);
   EXPECT_LT(took, kStopBound) << "stop took " << ms(took) << " ms";
-  EXPECT_EQ(throttle.stop_reason(), stream::StopReason::kRequested);
-  EXPECT_EQ(throttle.metrics().tuples_out(), 1u);  // the held round dropped
-  EXPECT_TRUE(out->closed());
-  EXPECT_EQ(out->size(), 0u);
+  EXPECT_EQ(controller.stop_reason(), stream::StopReason::kRequested);
+  EXPECT_EQ(controller.metrics().tuples_out(), 1u);
+  EXPECT_EQ(controller.rounds(), 1u);
+  for (const auto& port : ports) EXPECT_TRUE(port->closed());
+  EXPECT_EQ(ports[1]->size(), 0u);
 }
 
 TEST(ShutdownSupervisor, StopsInsideLongRestartBackoff) {

@@ -1,4 +1,4 @@
-// Source, sink, throttle, graph and metrics behaviour.
+// Source, sink, graph and metrics behaviour.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "stream/graph.h"
 #include "stream/sink.h"
 #include "stream/source.h"
-#include "stream/throttle.h"
 
 namespace astro::stream {
 namespace {
@@ -74,61 +73,6 @@ TEST(ReplaySource, PreservesOrderAndMasks) {
   ASSERT_EQ(items[0].mask.size(), 2u);
   EXPECT_FALSE(items[0].mask[1]);
   EXPECT_TRUE(items[1].mask.empty());
-}
-
-TEST(Throttle, PacesTuples) {
-  auto in = make_channel<DataTuple>(256);
-  auto out = make_channel<DataTuple>(256);
-  FlowGraph graph;
-  std::vector<linalg::Vector> data(40, linalg::Vector(1));
-  graph.add<ReplaySource>("src", data, in);
-  graph.add<ThrottleOperator<DataTuple>>("throttle", in, out, 500.0);
-  auto* sink = graph.add<CollectorSink<DataTuple>>("sink", out);
-  const auto start = std::chrono::steady_clock::now();
-  graph.start();
-  graph.wait();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(sink->count(), 40u);
-  EXPECT_GE(elapsed, 70ms);  // 40 at 500/s ~ 78 ms minimum
-}
-
-TEST(Throttle, NoBurstAfterUpstreamStall) {
-  // Regression: the throttle used an absolute schedule (tuple i due at
-  // start + i/rate), so an upstream stall banked credit and the backlog was
-  // then emitted in a single catch-up burst.  The token bucket with burst
-  // capacity 1 re-anchors to the last emission: consecutive emissions are
-  // never closer than one period, stall or no stall.
-  constexpr double kRate = 100.0;  // period 10 ms
-  auto in = make_channel<DataTuple>(64);
-  auto out = make_channel<DataTuple>(64);
-  FlowGraph graph;
-  graph.add<ThrottleOperator<DataTuple>>("throttle", in, out, kRate);
-  std::vector<std::chrono::steady_clock::time_point> emits;
-  graph.add<CallbackSink<DataTuple>>("sink", out, [&](const DataTuple&) {
-    emits.push_back(std::chrono::steady_clock::now());
-  });
-  graph.start();
-
-  auto feed = [&](std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      DataTuple t;
-      t.values = linalg::Vector(1);
-      ASSERT_TRUE(in->push(std::move(t)));
-    }
-  };
-  feed(4);
-  std::this_thread::sleep_for(60ms);  // stall: 6 periods of "credit"
-  feed(6);
-  in->close();
-  graph.wait();
-
-  ASSERT_EQ(emits.size(), 10u);
-  // Inter-emit spacing never beats 1/rate (small scheduling allowance; the
-  // old catch-up burst produced sub-millisecond gaps after the stall).
-  for (std::size_t i = 1; i < emits.size(); ++i) {
-    EXPECT_GE(emits[i] - emits[i - 1], 7ms) << "between emits " << i - 1
-                                            << " and " << i;
-  }
 }
 
 TEST(CallbackSink, InvokedPerTuple) {
