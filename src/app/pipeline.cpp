@@ -25,7 +25,84 @@ std::string auto_shm_segment() {
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
 
+using Rows = std::vector<std::pair<std::string, double>>;
+
+// Registry extras of a transport endpoint: the counters every carrier
+// shares ...
+Rows session_rows(const stream::SessionSinkCounters& c) {
+  return {{"accepted", double(c.accepted)},
+          {"acked", double(c.acked)},
+          {"lossy_dropped", double(c.lossy_dropped)},
+          {"degraded", c.degraded ? 1.0 : 0.0}};
+}
+
+Rows session_rows(const stream::SessionServerCounters& c) {
+  return {{"delivered", double(c.delivered)},
+          {"duplicates", double(c.duplicates)},
+          {"crc_rejects", double(c.crc_rejects)},
+          {"payload_rejects", double(c.payload_rejects)},
+          {"protocol_errors", double(c.protocol_errors)},
+          {"sessions", double(c.sessions)},
+          {"resumes", double(c.resumes)},
+          {"byes", double(c.byes)},
+          {"dead_letters", double(c.dead_letters)},
+          {"dead_letter_overflow", double(c.dead_letter_overflow)}};
+}
+
+// ... then the carrier's own.
+Rows counter_rows(const stream::TcpSinkCounters& c) {
+  Rows rows = session_rows(c);
+  rows.insert(rows.end(), {{"frames_sent", double(c.frames_sent)},
+                           {"retransmits", double(c.retransmits)},
+                           {"sessions", double(c.sessions)},
+                           {"reconnects", double(c.reconnects)},
+                           {"connect_failures", double(c.connect_failures)},
+                           {"acks_received", double(c.acks_received)},
+                           {"outages", double(c.outages)},
+                           {"backoff_ms_last", double(c.backoff_ms_last)},
+                           {"window_depth", double(c.window_depth)}});
+  return rows;
+}
+
+Rows counter_rows(const stream::TcpServerCounters& c) {
+  Rows rows = session_rows(c);
+  rows.insert(rows.end(), {{"out_of_order", double(c.out_of_order)},
+                           {"acks_sent", double(c.acks_sent)}});
+  return rows;
+}
+
+Rows counter_rows(const stream::ShmSinkCounters& c) {
+  Rows rows = session_rows(c);
+  rows.insert(rows.end(),
+              {{"frames_committed", double(c.frames_committed)},
+               {"oversize_dropped", double(c.oversize_dropped)},
+               {"ring_depth", double(c.ring_depth)},
+               {"blocked_waits", double(c.blocked_waits)},
+               {"wraps", double(c.wraps)},
+               {"consumer_generations", double(c.consumer_generations)}});
+  return rows;
+}
+
+Rows counter_rows(const stream::ShmServerCounters& c) {
+  Rows rows = session_rows(c);
+  rows.insert(rows.end(), {{"quarantined", double(c.quarantined)},
+                           {"producer_deaths", double(c.producer_deaths)}});
+  return rows;
+}
+
 }  // namespace
+
+template <typename Sink, typename Server>
+void StreamingPcaPipeline::add_transport(Sink* sink, Server* server) {
+  uplink_ = sink;
+  downlink_ = server;
+  registry_.add_operator(
+      "uplink", &sink->metrics(),
+      [sink] { return counter_rows(sink->counters()); }, this);
+  registry_.add_operator(
+      "downlink", &server->metrics(),
+      [server] { return counter_rows(server->counters()); }, this);
+}
 
 StreamingPcaPipeline::StreamingPcaPipeline(
     const PipelineConfig& config, stream::GeneratorSource::Generator generator)
@@ -155,99 +232,25 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     }
     std::string segment = config.transport.shm_segment;
     if (segment.empty()) segment = auto_shm_segment();
-    shm_downlink_ = graph_.add<stream::ShmTupleServer>(
+    auto* server = graph_.add<stream::ShmTupleServer>(
         "downlink", segment, transport_out_, shm_opts);
-    shm_downlink_->set_arena(arena_.get());
-    shm_uplink_ = graph_.add<stream::ShmTupleSink>("uplink", segment,
-                                                   source_out, shm_opts);
-    shm_uplink_->set_arena(arena_.get());
-    registry_.add_operator(
-        "uplink", &shm_uplink_->metrics(),
-        [s = shm_uplink_] {
-          const stream::ShmSinkCounters c = s->counters();
-          return std::vector<std::pair<std::string, double>>{
-              {"accepted", double(c.accepted)},
-              {"acked", double(c.acked)},
-              {"lossy_dropped", double(c.lossy_dropped)},
-              {"frames_committed", double(c.frames_committed)},
-              {"oversize_dropped", double(c.oversize_dropped)},
-              {"ring_depth", double(c.ring_depth)},
-              {"blocked_waits", double(c.blocked_waits)},
-              {"wraps", double(c.wraps)},
-              {"consumer_generations", double(c.consumer_generations)},
-              {"degraded", c.degraded ? 1.0 : 0.0}};
-        },
-        this);
-    registry_.add_operator(
-        "downlink", &shm_downlink_->metrics(),
-        [s = shm_downlink_] {
-          const stream::ShmServerCounters c = s->counters();
-          return std::vector<std::pair<std::string, double>>{
-              {"delivered", double(c.delivered)},
-              {"duplicates", double(c.duplicates)},
-              {"crc_rejects", double(c.crc_rejects)},
-              {"payload_rejects", double(c.payload_rejects)},
-              {"protocol_errors", double(c.protocol_errors)},
-              {"quarantined", double(c.quarantined)},
-              {"sessions", double(c.sessions)},
-              {"resumes", double(c.resumes)},
-              {"byes", double(c.byes)},
-              {"producer_deaths", double(c.producer_deaths)},
-              {"dead_letters", double(c.dead_letters)},
-              {"dead_letter_overflow", double(c.dead_letter_overflow)}};
-        },
-        this);
+    server->set_arena(arena_.get());
+    auto* sink = graph_.add<stream::ShmTupleSink>("uplink", segment,
+                                                  source_out, shm_opts);
+    sink->set_arena(arena_.get());
+    add_transport(sink, server);
   } else if (config.transport.enabled) {
     transport_out_ = make_named_channel<DataTuple>(
         "chan.downlink->" + ingest_stage, config.channel_capacity);
     stream::TcpServerOptions server_opts;
     server_opts.ack_every = config.transport.ack_every;
     server_opts.exit_on_bye = true;
-    downlink_ = graph_.add<stream::TcpTupleServer>(
+    auto* server = graph_.add<stream::TcpTupleServer>(
         "downlink", config.transport.port, transport_out_,
         /*max_connections=*/0, server_opts);
-    uplink_ = graph_.add<stream::TcpTupleSink>("uplink", downlink_->port(),
-                                               source_out,
-                                               config.transport.tcp);
-    registry_.add_operator(
-        "uplink", &uplink_->metrics(),
-        [s = uplink_] {
-          const stream::TcpSinkCounters c = s->counters();
-          return std::vector<std::pair<std::string, double>>{
-              {"accepted", double(c.accepted)},
-              {"acked", double(c.acked)},
-              {"lossy_dropped", double(c.lossy_dropped)},
-              {"frames_sent", double(c.frames_sent)},
-              {"retransmits", double(c.retransmits)},
-              {"sessions", double(c.sessions)},
-              {"reconnects", double(c.reconnects)},
-              {"connect_failures", double(c.connect_failures)},
-              {"acks_received", double(c.acks_received)},
-              {"outages", double(c.outages)},
-              {"backoff_ms_last", double(c.backoff_ms_last)},
-              {"window_depth", double(c.window_depth)},
-              {"degraded", c.degraded ? 1.0 : 0.0}};
-        },
-        this);
-    registry_.add_operator(
-        "downlink", &downlink_->metrics(),
-        [s = downlink_] {
-          const stream::TcpServerCounters c = s->counters();
-          return std::vector<std::pair<std::string, double>>{
-              {"delivered", double(c.delivered)},
-              {"duplicates", double(c.duplicates)},
-              {"out_of_order", double(c.out_of_order)},
-              {"crc_rejects", double(c.crc_rejects)},
-              {"payload_rejects", double(c.payload_rejects)},
-              {"protocol_errors", double(c.protocol_errors)},
-              {"acks_sent", double(c.acks_sent)},
-              {"sessions", double(c.sessions)},
-              {"resumes", double(c.resumes)},
-              {"byes", double(c.byes)},
-              {"dead_letters", double(c.dead_letters)},
-              {"dead_letter_overflow", double(c.dead_letter_overflow)}};
-        },
-        this);
+    auto* sink = graph_.add<stream::TcpTupleSink>(
+        "uplink", server->port(), source_out, config.transport.tcp);
+    add_transport(sink, server);
   }
 
   const stream::ChannelPtr<DataTuple> split_in =
@@ -258,12 +261,7 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     // Transport CRC rejects share the ingest quarantine: a frame damaged on
     // the wire lands in the same dead-letter stream as a tuple damaged at
     // the telescope.
-    if (downlink_ != nullptr) {
-      downlink_->set_dead_letters(dead_letter_channel_);
-    }
-    if (shm_downlink_ != nullptr) {
-      shm_downlink_->set_dead_letters(dead_letter_channel_);
-    }
+    if (downlink_ != nullptr) downlink_->set_dead_letters(dead_letter_channel_);
     spectra::ValidationPolicy policy = config.validation;
     if (policy.expected_dim == 0) policy.expected_dim = config.pca.dim;
     gate_ = std::make_unique<stream::IngestGate>(dead_letter_channel_, policy,
@@ -511,23 +509,14 @@ void StreamingPcaPipeline::wait() {
   // subsystem is shut down, so stop it once the data plane has finished.
   source_->join();
   if (uplink_ != nullptr) {
-    // The sink flushes (waits for the receiver's final cumulative ack, or
-    // counts what a dead receiver never confirmed) before exiting, so after
-    // this join every surviving tuple has been pushed past the server.  The
-    // server normally exits on the sink's kBye; a sink that gave up never
-    // sends one, so nudge it.
+    // The sink flushes (waits for the receiver to confirm, or counts what
+    // it never confirmed) before exiting, so after this join every
+    // surviving tuple has been pushed past the server.  The server
+    // normally exits on the sink's end-of-stream marker; a sink that gave
+    // up or crashed never sends one, so nudge it.
     uplink_->join();
     downlink_->request_stop();
     downlink_->join();
-  }
-  if (shm_uplink_ != nullptr) {
-    // Same contract over the ring: the sink's flush waits for the durable
-    // tail (or counts the unconfirmed suffix lossy) and marks bye; the
-    // server normally exits on that bye — nudge it in case the sink
-    // crashed before setting it.
-    shm_uplink_->join();
-    shm_downlink_->request_stop();
-    shm_downlink_->join();
   }
   split_->join();
   // The controller wakes from its pacing wait and closes the control ports.

@@ -252,26 +252,27 @@ class StreamingPcaPipeline {
   [[nodiscard]] serve::SnapshotServer* serve_server() const noexcept {
     return serve_server_.get();
   }
-  /// Transport endpoints (nullptr unless config.transport.enabled).  Their
-  /// counters expose the session protocol's full state: reconnects,
-  /// retransmits, CRC rejects, acks, backoff, degraded flag.
+  /// TCP transport endpoints (nullptr unless config.transport.enabled
+  /// with kind == kTcp).  Their counters expose the session protocol's
+  /// full state: reconnects, retransmits, CRC rejects, acks, backoff,
+  /// degraded flag.
   [[nodiscard]] const stream::TcpTupleSink* transport_uplink() const noexcept {
-    return uplink_;
+    return dynamic_cast<const stream::TcpTupleSink*>(uplink_);
   }
   [[nodiscard]] const stream::TcpTupleServer* transport_downlink()
       const noexcept {
-    return downlink_;
+    return dynamic_cast<const stream::TcpTupleServer*>(downlink_);
   }
   /// Shm transport endpoints (nullptr unless transport.enabled with
   /// kind == kShm).  Counters expose ring depth, blocked waits, wraps,
   /// quarantines, resume/bye accounting.
   [[nodiscard]] const stream::ShmTupleSink* transport_shm_uplink()
       const noexcept {
-    return shm_uplink_;
+    return dynamic_cast<const stream::ShmTupleSink*>(uplink_);
   }
   [[nodiscard]] const stream::ShmTupleServer* transport_shm_downlink()
       const noexcept {
-    return shm_downlink_;
+    return dynamic_cast<const stream::ShmTupleServer*>(downlink_);
   }
   /// The sync controller (nullptr when synchronization is disabled).
   [[nodiscard]] const sync::SyncController* sync_controller() const noexcept {
@@ -282,6 +283,9 @@ class StreamingPcaPipeline {
 
  private:
   void build(const PipelineConfig& config);
+  /// Records the transport endpoints and registers their counters.
+  template <typename Sink, typename Server>
+  void add_transport(Sink* sink, Server* server);
   template <typename T>
   stream::ChannelPtr<T> make_named_channel(const std::string& name,
                                            std::size_t capacity) {
@@ -315,10 +319,9 @@ class StreamingPcaPipeline {
   stream::FlowGraph graph_;
   stream::Operator* source_ = nullptr;
   stream::ChannelPtr<stream::DataTuple> source_out_;
-  stream::TcpTupleSink* uplink_ = nullptr;
-  stream::TcpTupleServer* downlink_ = nullptr;
-  stream::ShmTupleSink* shm_uplink_ = nullptr;
-  stream::ShmTupleServer* shm_downlink_ = nullptr;
+  // Transport endpoints of either carrier (nullptr without transport).
+  stream::SessionSink* uplink_ = nullptr;
+  stream::SessionServer* downlink_ = nullptr;
   stream::ChannelPtr<stream::DataTuple> transport_out_;
   stream::DeadLetterSink* dead_letter_sink_ = nullptr;
   stream::ChannelPtr<stream::DeadLetter> dead_letter_channel_;

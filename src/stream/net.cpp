@@ -64,8 +64,7 @@ TcpTupleServer::TcpTupleServer(std::string name, std::uint16_t port,
                                ChannelPtr<DataTuple> out,
                                std::size_t max_connections,
                                TcpServerOptions options)
-    : Operator(std::move(name)),
-      out_(std::move(out)),
+    : SessionServer(std::move(name), std::move(out)),
       max_connections_(max_connections),
       options_(options) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -96,125 +95,81 @@ TcpTupleServer::~TcpTupleServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-std::uint64_t TcpTupleServer::ack_value() const {
-  if (!applied_watermark_) return applied_;
-  return std::min(applied_, applied_watermark_());
-}
-
-bool TcpTupleServer::send_ack(int fd, bool force) {
-  const std::uint64_t value = ack_value();
+bool TcpTupleServer::send_ack(int fd, bool force, io::FrameType type) {
+  const std::uint64_t value = cap_at_watermark(applied_);
   if (!force && value <= last_ack_sent_) return true;
-  const auto frame = io::encode_control_frame(io::FrameType::kAck, value);
+  const auto frame = io::encode_control_frame(type, value);
   const auto stopped = [this] { return stop_requested(); };
   if (!write_frame_plain(fd, frame, options_.write_timeout, stopped)) {
     return false;
   }
-  acks_sent_.fetch_add(1, std::memory_order_relaxed);
+  if (type == io::FrameType::kAck) {
+    acks_sent_.fetch_add(1, std::memory_order_relaxed);
+  }
   last_ack_sent_ = std::max(last_ack_sent_, value);
   return true;
 }
 
-void TcpTupleServer::quarantine_frame(std::uint64_t seq) {
-  if (!dlq_) return;
-  // The frame failed its CRC, so nothing in it can be trusted except its
-  // arrival: quarantine a husk carrying the claimed transport seq for
-  // forensics.  Non-blocking — a full DLQ must not stall the receive loop.
-  DeadLetter dl;
-  dl.tuple.seq = seq;
-  dl.reason = spectra::RejectReason::kCorruptFrame;
-  if (dlq_->try_push(dl)) {
-    dead_letters_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    dead_letter_overflow_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 TcpTupleServer::FrameOutcome TcpTupleServer::handle_frame(
-    int fd, const std::uint8_t* frame, std::size_t frame_bytes) {
-  const std::span<const std::uint8_t> header(frame, io::kFrameHeaderBytes);
-  const std::span<const std::uint8_t> payload(
-      frame + io::kFrameHeaderBytes, frame_bytes - io::kFrameHeaderBytes);
+    int fd, std::span<const std::uint8_t> frame) {
+  const auto header = frame.first(io::kFrameHeaderBytes);
   const auto h = io::decode_frame_header(header);
   if (!h) return FrameOutcome::kConnectionDone;  // caller pre-validated
-  if (!io::verify_frame_crc(header, payload)) {
-    // Damaged in flight.  Never applied, never acked: the sender's window
-    // still holds it and replays it on session resume, so a CRC reject
-    // costs a retransmit, not a tuple.
-    crc_rejects_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.record_dropped();
-    quarantine_frame(h->seq);
-    return FrameOutcome::kContinue;
+  if (h->type == io::FrameType::kTuple ||
+      !io::verify_frame_crc(header, frame.subspan(io::kFrameHeaderBytes))) {
+    // A data frame, or one whose damage hides what it was.
+    return handle_data(fd, *h, frame);
   }
   switch (h->type) {
-    case io::FrameType::kHello: {
-      sessions_.fetch_add(1, std::memory_order_relaxed);
-      if (!resume_initialized_) {
-        applied_ = resume_point_ ? resume_point_() : 0;
-        resume_initialized_ = true;
-      }
-      if (applied_ > 0) resumes_.fetch_add(1, std::memory_order_relaxed);
-      const auto reply =
-          io::encode_control_frame(io::FrameType::kHelloAck, ack_value());
-      const auto stopped = [this] { return stop_requested(); };
-      if (!write_frame_plain(fd, reply, options_.write_timeout, stopped)) {
-        return FrameOutcome::kConnectionDone;
-      }
-      last_ack_sent_ = std::max(last_ack_sent_, ack_value());
-      return FrameOutcome::kContinue;
-    }
+    case io::FrameType::kHello:
+      open_session(applied_);
+      return send_ack(fd, /*force=*/true, io::FrameType::kHelloAck)
+                 ? FrameOutcome::kContinue
+                 : FrameOutcome::kConnectionDone;
     case io::FrameType::kBye:
       byes_.fetch_add(1, std::memory_order_relaxed);
       (void)send_ack(fd, /*force=*/true);
       if (options_.exit_on_bye) bye_seen_ = true;
       return FrameOutcome::kConnectionDone;
-    case io::FrameType::kTuple: {
-      if (!resume_initialized_) {  // sender skipped HELLO; tolerate
-        applied_ = resume_point_ ? resume_point_() : 0;
-        resume_initialized_ = true;
-      }
-      metrics_.record_in(frame_bytes);
-      if (h->seq <= applied_) {
-        // Resume replay of an already-applied frame: discard, but re-ack so
-        // the sender can prune its window (it missed the earlier ack).
-        duplicates_.fetch_add(1, std::memory_order_relaxed);
-        if (!send_ack(fd, /*force=*/true)) {
-          return FrameOutcome::kConnectionDone;
-        }
-        return FrameOutcome::kContinue;
-      }
-      if (h->seq != applied_ + 1) {
-        // Gap — an earlier frame was rejected or lost.  Not acked; the
-        // sender's ack watchdog fires and the session resumes from the gap.
-        out_of_order_.fetch_add(1, std::memory_order_relaxed);
-        return FrameOutcome::kContinue;
-      }
-      auto tuple = io::decode_tuple_payload(payload);
-      if (!tuple) {
-        payload_rejects_.fetch_add(1, std::memory_order_relaxed);
-        metrics_.record_dropped();
-        quarantine_frame(h->seq);
-        return FrameOutcome::kContinue;
-      }
-      const std::size_t bytes = tuple->wire_bytes();
-      if (!out_->push(std::move(*tuple))) {
-        return FrameOutcome::kDownstreamClosed;
-      }
-      // Push-before-advance: an acked seq is always at least pushed
-      // downstream (and durably applied when an applied watermark gates).
-      applied_ = h->seq;
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.record_out(bytes);
-      if (applied_ - last_ack_sent_ >= options_.ack_every) {
-        if (!send_ack(fd, /*force=*/false)) {
-          return FrameOutcome::kConnectionDone;
-        }
-      }
-      return FrameOutcome::kContinue;
-    }
+    case io::FrameType::kTuple:
     case io::FrameType::kAck:
     case io::FrameType::kHelloAck:
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      break;
+  }
+  // An ack-type frame sent to a receiver is nonsense.
+  reject_protocol(frame.size());
+  return FrameOutcome::kContinue;
+}
+
+TcpTupleServer::FrameOutcome TcpTupleServer::handle_data(
+    int fd, const io::FrameHeader& h, std::span<const std::uint8_t> frame) {
+  switch (judge(h, frame, /*floor=*/applied_, /*next=*/applied_ + 1)) {
+    case Verdict::kRejected:
+      // Never applied, never acked: the sender's window still holds the
+      // frame and replays it on session resume, so a CRC reject costs a
+      // retransmit, not a tuple.
       return FrameOutcome::kContinue;
+    case Verdict::kDuplicate:
+      // Resume replay of an already-applied frame: re-ack so the sender
+      // can prune its window (it missed the earlier ack).
+      return send_ack(fd, /*force=*/true) ? FrameOutcome::kContinue
+                                          : FrameOutcome::kConnectionDone;
+    case Verdict::kGap:
+      // An earlier frame was rejected or lost.  Not acked; the sender's ack
+      // watchdog fires and the session resumes from the gap.
+      out_of_order_.fetch_add(1, std::memory_order_relaxed);
+      return FrameOutcome::kContinue;
+    case Verdict::kClosed:
+      return FrameOutcome::kDownstreamClosed;
+    case Verdict::kDelivered:
+      break;
+  }
+  // Push-before-advance: an acked seq is always at least pushed downstream
+  // (and durably applied when an applied watermark gates).
+  applied_ = h.seq;
+  if (applied_ - last_ack_sent_ >= options_.ack_every &&
+      !send_ack(fd, /*force=*/false)) {
+    return FrameOutcome::kConnectionDone;
   }
   return FrameOutcome::kContinue;
 }
@@ -233,14 +188,13 @@ bool TcpTupleServer::serve_connection(int fd) {
         // Desynced or length-field damage: no way to find the next frame
         // boundary.  Drop the connection; the sender reconnects and
         // resumes, so nothing is lost.
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics_.record_dropped();
+        reject_protocol(io::kFrameHeaderBytes);
         return true;
       }
       const std::size_t frame_bytes = io::kFrameHeaderBytes + h->payload_bytes;
       if (buf.size() - head < frame_bytes) break;
-      const FrameOutcome outcome =
-          handle_frame(fd, buf.data() + head, frame_bytes);
+      const FrameOutcome outcome = handle_frame(
+          fd, std::span<const std::uint8_t>(buf.data() + head, frame_bytes));
       if (outcome == FrameOutcome::kDownstreamClosed) return false;
       if (outcome == FrameOutcome::kConnectionDone) return true;
       head += frame_bytes;
@@ -275,7 +229,10 @@ bool TcpTupleServer::serve_connection(int fd) {
   return true;
 }
 
-void TcpTupleServer::run() {
+StopReason TcpTupleServer::serve() {
+  // Sessions resume from the durable point, then from in-memory state
+  // across reconnects.
+  applied_ = resume_point();
   std::size_t served = 0;
   bool downstream_open = true;
   while (!stop_requested() && !bye_seen_ && downstream_open &&
@@ -291,26 +248,14 @@ void TcpTupleServer::run() {
     ::close(fd);
     ++served;
   }
-  out_->close();
-  set_stop_reason(stop_requested() ? StopReason::kRequested
-                                   : StopReason::kUpstreamClosed);
+  return StopReason::kUpstreamClosed;
 }
 
 TcpServerCounters TcpTupleServer::counters() const noexcept {
   TcpServerCounters c;
-  c.delivered = delivered_.load(std::memory_order_relaxed);
-  c.duplicates = duplicates_.load(std::memory_order_relaxed);
+  static_cast<SessionServerCounters&>(c) = session_counters();
   c.out_of_order = out_of_order_.load(std::memory_order_relaxed);
-  c.crc_rejects = crc_rejects_.load(std::memory_order_relaxed);
-  c.payload_rejects = payload_rejects_.load(std::memory_order_relaxed);
-  c.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   c.acks_sent = acks_sent_.load(std::memory_order_relaxed);
-  c.sessions = sessions_.load(std::memory_order_relaxed);
-  c.resumes = resumes_.load(std::memory_order_relaxed);
-  c.byes = byes_.load(std::memory_order_relaxed);
-  c.dead_letters = dead_letters_.load(std::memory_order_relaxed);
-  c.dead_letter_overflow =
-      dead_letter_overflow_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -321,9 +266,8 @@ TcpServerCounters TcpTupleServer::counters() const noexcept {
 TcpTupleSink::TcpTupleSink(std::string name, std::uint16_t port,
                            ChannelPtr<DataTuple> in,
                            TcpTransportOptions options)
-    : Operator(std::move(name)),
+    : SessionSink(std::move(name), std::move(in)),
       port_(port),
-      in_(std::move(in)),
       options_(options) {}
 
 TcpTupleSink::~TcpTupleSink() {
@@ -505,16 +449,17 @@ bool TcpTupleSink::drain_receiver(std::optional<std::uint64_t>* hello_ack) {
   return true;
 }
 
-TcpTupleSink::IoResult TcpTupleSink::await_ack_progress() {
+TcpTupleSink::IoResult TcpTupleSink::await_ack_progress(
+    std::optional<std::uint64_t>* hello_ack) {
   const std::uint64_t start = acked_seq_;
   const auto deadline = Clock::now() + options_.ack_timeout;
-  while (acked_seq_ == start) {
+  while (hello_ack ? !hello_ack->has_value() : acked_seq_ == start) {
     if (stop_requested()) return IoResult::kStopped;
     if (Clock::now() >= deadline) return IoResult::kClosed;
     pollfd p{fd_, POLLIN, 0};
     const int pr = ::poll(&p, 1, kPollSliceMs);
     if (pr < 0) return IoResult::kClosed;
-    if (!drain_receiver()) return IoResult::kClosed;
+    if (!drain_receiver(hello_ack)) return IoResult::kClosed;
   }
   return IoResult::kOk;
 }
@@ -525,15 +470,8 @@ TcpTupleSink::IoResult TcpTupleSink::handshake() {
   const IoResult sent = send_frame(hello);
   if (sent != IoResult::kOk) return sent;
   std::optional<std::uint64_t> resume;
-  const auto deadline = Clock::now() + options_.ack_timeout;
-  while (!resume) {
-    if (stop_requested()) return IoResult::kStopped;
-    if (Clock::now() >= deadline) return IoResult::kClosed;
-    pollfd p{fd_, POLLIN, 0};
-    const int pr = ::poll(&p, 1, kPollSliceMs);
-    if (pr < 0) return IoResult::kClosed;
-    if (!drain_receiver(&resume)) return IoResult::kClosed;
-  }
+  const IoResult replied = await_ack_progress(&resume);
+  if (replied != IoResult::kOk) return replied;
   if (ever_connected_) reconnects_.fetch_add(1, std::memory_order_relaxed);
   ever_connected_ = true;
   sessions_.fetch_add(1, std::memory_order_relaxed);
@@ -591,12 +529,6 @@ void TcpTupleSink::enter_degraded() {
   next_heal_ = Clock::now() + options_.heal_interval;
 }
 
-bool TcpTupleSink::heal_probe() {
-  // Single attempt, no backoff ladder: degraded mode already paces probes
-  // at heal_interval.
-  return establish_session(1) == IoResult::kOk;
-}
-
 void TcpTupleSink::on_outage() {
   outages_.fetch_add(1, std::memory_order_relaxed);
   teardown_socket();
@@ -605,12 +537,63 @@ void TcpTupleSink::on_outage() {
   }
 }
 
-void TcpTupleSink::flush_and_close() {
-  // Wait for the receiver to ack every accepted tuple still in the window.
+bool TcpTupleSink::open() {
+  jitter_state_ = options_.jitter_seed ^ 0x9e3779b97f4a7c15ULL;
+  const IoResult initial = establish_session(options_.connect_attempts);
+  if (initial == IoResult::kStopped) {
+    teardown_socket();
+    return false;
+  }
+  if (initial == IoResult::kClosed) enter_degraded();
+  return true;
+}
+
+void TcpTupleSink::idle() {
+  // Keep servicing acks and the progress watchdog.
+  if (!connected_) return;
+  if (!drain_receiver() ||
+      (!window_.empty() &&
+       Clock::now() - last_ack_progress_ > options_.ack_timeout)) {
+    on_outage();
+  }
+}
+
+bool TcpTupleSink::heal() {
+  if (Clock::now() < next_heal_) return false;
+  // Single attempt, no backoff ladder: degraded mode already paces probes
+  // at heal_interval.
+  if (establish_session(1) == IoResult::kOk) return true;
+  next_heal_ = Clock::now() + options_.heal_interval;
+  return false;
+}
+
+TcpTupleSink::Handoff TcpTupleSink::send(DataTuple& t) {
+  if (window_.size() >= options_.retransmit_window) {
+    // Bounded memory: block on ack progress, not on more buffering.
+    if (await_ack_progress() == IoResult::kClosed) on_outage();
+    return Handoff::kHeld;
+  }
+  const std::uint64_t seq = next_seq_++;
+  if (window_.empty()) last_ack_progress_ = Clock::now();
+  window_.push_back({seq, io::encode_tuple(t, seq)});
+  window_depth_.store(window_.size(), std::memory_order_relaxed);
+  if (connected_) {
+    const IoResult r = send_frame(window_.back().frame);
+    if (r == IoResult::kClosed) {
+      on_outage();  // the frame stays windowed; replayed on resume
+    } else if (r == IoResult::kOk) {
+      idle();
+    }
+  }
+  return Handoff::kTaken;
+}
+
+std::uint64_t TcpTupleSink::flush() {
+  // Wait for the receiver to ack every tuple still in the window.
   // Bounded: a reconnect budget that makes no ack progress twice in a row
-  // gives up, and whatever the receiver never confirmed is counted as
-  // lossy-link drops — conservation stays exact even when the far side is
-  // gone for good.
+  // gives up, and whatever the receiver never confirmed is returned for
+  // counting as lossy-link drops — conservation stays exact even when the
+  // far side is gone for good.
   int stalled_recoveries = 0;
   std::uint64_t progress_mark = acked_seq_;
   while (!window_.empty() && !stop_requested()) {
@@ -633,14 +616,9 @@ void TcpTupleSink::flush_and_close() {
       ++stalled_recoveries;
     }
   }
-  if (!window_.empty()) {
-    for (std::size_t i = 0; i < window_.size(); ++i) {
-      metrics_.record_dropped();
-    }
-    lossy_dropped_.fetch_add(window_.size(), std::memory_order_relaxed);
-    window_.clear();
-    window_depth_.store(0, std::memory_order_relaxed);
-  }
+  const std::uint64_t unconfirmed = window_.size();
+  window_.clear();
+  window_depth_.store(0, std::memory_order_relaxed);
   if (connected_ && !stop_requested()) {
     // Clean end of stream: the receiver may close its output (exit_on_bye)
     // or just end the connection.
@@ -648,109 +626,13 @@ void TcpTupleSink::flush_and_close() {
                                               next_seq_ - 1));
     ::shutdown(fd_, SHUT_WR);
   }
-}
-
-void TcpTupleSink::run() {
-  using namespace std::chrono_literals;
-  jitter_state_ = options_.jitter_seed ^ 0x9e3779b97f4a7c15ULL;
-
-  const IoResult initial = establish_session(options_.connect_attempts);
-  if (initial == IoResult::kStopped) {
-    teardown_socket();
-    set_stop_reason(StopReason::kRequested);
-    return;
-  }
-  if (initial == IoResult::kClosed) enter_degraded();
-
-  DataTuple t;
-  bool have = false;
-  while (!stop_requested()) {
-    if (degraded_.load(std::memory_order_relaxed) &&
-        Clock::now() >= next_heal_) {
-      if (heal_probe()) {
-        degraded_.store(false, std::memory_order_relaxed);
-      } else {
-        next_heal_ = Clock::now() + options_.heal_interval;
-      }
-    }
-    if (!have) {
-      if (in_->pop_for(t, 50ms)) {
-        have = true;
-        metrics_.record_in(t.wire_bytes());
-      } else if (in_->closed() && in_->size() == 0) {
-        break;  // input exhausted: flush below
-      }
-    }
-    if (!have) {
-      // Idle: keep servicing acks and the progress watchdog.
-      if (connected_) {
-        if (!drain_receiver()) {
-          on_outage();
-        } else if (!window_.empty() &&
-                   Clock::now() - last_ack_progress_ > options_.ack_timeout) {
-          on_outage();
-        }
-      }
-      continue;
-    }
-    if (degraded_.load(std::memory_order_relaxed)) {
-      // Counted lossy-link drop (BoundedQueue fault-hook semantics): the
-      // producer flows on, the loss is visible in the accounting.
-      metrics_.record_dropped();
-      lossy_dropped_.fetch_add(1, std::memory_order_relaxed);
-      have = false;
-      continue;
-    }
-    if (window_.size() >= options_.retransmit_window) {
-      // Bounded memory: block on ack progress, not on more buffering.
-      const IoResult r = await_ack_progress();
-      if (r == IoResult::kStopped) break;
-      if (r == IoResult::kClosed) on_outage();
-      continue;  // re-evaluate degraded/window state
-    }
-    const std::uint64_t seq = next_seq_++;
-    if (window_.empty()) last_ack_progress_ = Clock::now();
-    window_.push_back({seq, io::encode_tuple(t, seq)});
-    window_depth_.store(window_.size(), std::memory_order_relaxed);
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    have = false;
-    if (connected_) {
-      const IoResult r = send_frame(window_.back().frame);
-      if (r == IoResult::kStopped) break;
-      if (r == IoResult::kClosed) {
-        on_outage();  // frame stays windowed; replayed on resume
-        continue;
-      }
-      if (!drain_receiver()) {
-        on_outage();
-        continue;
-      }
-      if (!window_.empty() &&
-          Clock::now() - last_ack_progress_ > options_.ack_timeout) {
-        on_outage();
-      }
-    }
-  }
-
-  flush_and_close();
   teardown_socket();
-  if (stop_requested()) {
-    set_stop_reason(StopReason::kRequested);
-  } else if (!ever_connected_) {
-    // Satellite fix: a sink that never established a session ended in
-    // error, not by request — callers and the supervisor can tell a dead
-    // endpoint from a clean shutdown.
-    set_stop_reason(StopReason::kError);
-  } else {
-    set_stop_reason(StopReason::kUpstreamClosed);
-  }
+  return unconfirmed;
 }
 
 TcpSinkCounters TcpTupleSink::counters() const noexcept {
   TcpSinkCounters c;
-  c.accepted = accepted_.load(std::memory_order_relaxed);
-  c.acked = acked_.load(std::memory_order_relaxed);
-  c.lossy_dropped = lossy_dropped_.load(std::memory_order_relaxed);
+  static_cast<SessionSinkCounters&>(c) = session_counters();
   c.frames_sent = frames_sent_.load(std::memory_order_relaxed);
   c.retransmits = retransmits_.load(std::memory_order_relaxed);
   c.sessions = sessions_.load(std::memory_order_relaxed);
@@ -760,7 +642,6 @@ TcpSinkCounters TcpTupleSink::counters() const noexcept {
   c.outages = outages_.load(std::memory_order_relaxed);
   c.backoff_ms_last = backoff_ms_last_.load(std::memory_order_relaxed);
   c.window_depth = window_depth_.load(std::memory_order_relaxed);
-  c.degraded = degraded_.load(std::memory_order_relaxed);
   return c;
 }
 

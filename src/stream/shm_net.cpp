@@ -39,7 +39,7 @@ void backoff(unsigned& spins) {
 ShmTupleSink::ShmTupleSink(std::string name, std::string segment,
                            ChannelPtr<DataTuple> in,
                            ShmTransportOptions options)
-    : Operator(std::move(name)), in_(std::move(in)), options_(options) {
+    : SessionSink(std::move(name), std::move(in)), options_(options) {
   segment_ = ShmRingSegment::create(
       segment, options_.ring_capacity,
       kShmSlotPrefixBytes + options_.max_frame_bytes);
@@ -47,14 +47,30 @@ ShmTupleSink::ShmTupleSink(std::string name, std::string segment,
 
 ShmTupleSink::~ShmTupleSink() { join(); }
 
-void ShmTupleSink::sample_gauges(const ShmRingProducer& prod) {
-  ring_depth_.store(prod.depth(), std::memory_order_relaxed);
-  acked_.store(prod.tail(), std::memory_order_relaxed);
-  consumer_generations_.store(prod.consumer().generation,
-                              std::memory_order_relaxed);
+void ShmTupleSink::beat() {
+  prod_->beat();
+  ring_depth_.store(prod_->depth(), std::memory_order_relaxed);
+  acked_.store(prod_->tail(), std::memory_order_relaxed);
+  const ShmPeer consumer = prod_->consumer();
+  consumer_generations_.store(consumer.generation, std::memory_order_relaxed);
+  if (consumer.pid != 0) ever_attached_ = true;
 }
 
-bool ShmTupleSink::wait_for_room(ShmRingProducer& prod, PeerWatch& watch) {
+bool ShmTupleSink::open() {
+  prod_.emplace(*segment_);
+  return true;
+}
+
+bool ShmTupleSink::heal() {
+  // Heal when a (new) consumer is alive and made room; until then the
+  // producer flows on and every drop is counted.
+  beat();
+  return watch_.observe(prod_->consumer(), options_.peer_timeout) ==
+             PeerWatch::State::kAlive &&
+         !prod_->full();
+}
+
+bool ShmTupleSink::wait_for_room() {
   // One wait episode: the ring is full and we park until the consumer's
   // durable tail frees a slot.  A consumer that is dead (or was never
   // there) continuously past restart_timeout is not coming back inside
@@ -63,160 +79,99 @@ bool ShmTupleSink::wait_for_room(ShmRingProducer& prod, PeerWatch& watch) {
   blocked_waits_.fetch_add(1, std::memory_order_relaxed);
   Clock::time_point dead_since{};
   unsigned spins = 0;
-  while (prod.full()) {
+  while (prod_->full()) {
     if (stop_requested()) return false;
-    prod.beat();
-    sample_gauges(prod);
-    const PeerWatch::State st =
-        watch.observe(prod.consumer(), options_.peer_timeout);
-    if (st == PeerWatch::State::kAlive) {
-      dead_since = {};
-    } else {
-      const auto now = Clock::now();
-      if (dead_since == Clock::time_point{}) {
-        dead_since = now;
-      } else if (now - dead_since > options_.restart_timeout) {
-        degraded_.store(true, std::memory_order_relaxed);
-        return false;
-      }
+    beat();
+    if (consumer_gone(dead_since)) {
+      degraded_.store(true, std::memory_order_relaxed);
+      return false;
     }
     backoff(spins);
   }
   return true;
 }
 
-void ShmTupleSink::flush(ShmRingProducer& prod, PeerWatch& watch) {
+bool ShmTupleSink::consumer_gone(Clock::time_point& dead_since) {
+  const auto now = Clock::now();
+  if (watch_.observe(prod_->consumer(), options_.peer_timeout) ==
+      PeerWatch::State::kAlive) {
+    dead_since = {};
+    return false;
+  }
+  if (dead_since == Clock::time_point{}) dead_since = now;
+  return now - dead_since > options_.restart_timeout;
+}
+
+ShmTupleSink::Handoff ShmTupleSink::send(DataTuple& t) {
+  beat();
+  if (prod_->full() && !wait_for_room()) {
+    return Handoff::kHeld;  // stopped or degraded
+  }
+  const std::uint64_t seq = prod_->next_seq();
+  const std::span<std::uint8_t> slot = prod_->stage(seq);
+  const std::size_t n = io::encode_tuple_into(slot, t, seq);
+  if (arena_) arena_->release(t);  // the frame is the tuple now
+  if (n == 0) {
+    // Geometry misconfiguration (tuple bigger than a slot): counted,
+    // never silently truncated.
+    oversize_dropped_.fetch_add(1, std::memory_order_relaxed);
+    count_lossy(1);
+    return Handoff::kTaken;
+  }
+  if (options_.fault) {
+    const auto plan = options_.fault->plan_commit(seq, n);
+    for (const auto& [off, mask] : plan.flips) slot[off] ^= mask;
+    if (plan.die) {
+      // Simulated crash mid-commit: the slot is written but head never
+      // advances — no flush, no bye, no further heartbeats.  The
+      // consumer's peer-death detection must fire.
+      return Handoff::kDied;
+    }
+  }
+  if (prod_->commit(seq, n)) wraps_.fetch_add(1, std::memory_order_relaxed);
+  frames_committed_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.record_out(n);
+  return Handoff::kTaken;
+}
+
+std::uint64_t ShmTupleSink::flush() {
   // Everything is committed; bye tells the consumer no further seq will
   // come, then we wait for its durable tail to reach head.  Bounded: no
   // tail progress for ack_timeout (with a restart grace while the
-  // consumer is dead) counts the unconfirmed suffix as lossy.
-  prod.set_bye();
-  std::uint64_t progress_mark = prod.tail();
+  // consumer is dead) leaves the unconfirmed suffix to be counted lossy.
+  prod_->set_bye();
+  std::uint64_t progress_mark = prod_->tail();
   auto last_progress = Clock::now();
   Clock::time_point dead_since{};
   unsigned spins = 0;
-  while (prod.tail() < prod.head() && !stop_requested()) {
-    prod.beat();
-    sample_gauges(prod);
-    const std::uint64_t t = prod.tail();
+  while (prod_->tail() < prod_->head() && !stop_requested()) {
+    beat();
+    const std::uint64_t t = prod_->tail();
     const auto now = Clock::now();
     if (t > progress_mark) {
       progress_mark = t;
       last_progress = now;
     }
-    const PeerWatch::State st =
-        watch.observe(prod.consumer(), options_.peer_timeout);
-    if (st == PeerWatch::State::kAlive) {
-      dead_since = {};
-      if (now - last_progress > options_.ack_timeout) break;
-    } else {
-      if (dead_since == Clock::time_point{}) dead_since = now;
-      if (now - dead_since > options_.restart_timeout) break;
+    if (consumer_gone(dead_since)) break;
+    if (dead_since != Clock::time_point{}) {
       // A restarting consumer resumes at tail; keep the grace window open.
       last_progress = now;
+    } else if (now - last_progress > options_.ack_timeout) {
+      break;
     }
     backoff(spins);
   }
-  const std::uint64_t unconfirmed = prod.head() - prod.tail();
-  if (unconfirmed > 0) {
-    for (std::uint64_t i = 0; i < unconfirmed; ++i) metrics_.record_dropped();
-    lossy_dropped_.fetch_add(unconfirmed, std::memory_order_relaxed);
-  }
-  sample_gauges(prod);
-  // Conservation closes exactly: whatever the consumer never confirmed
-  // durable is counted lossy, so accepted == acked + lossy_dropped.
-  acked_.store(accepted_.load(std::memory_order_relaxed) -
-                   lossy_dropped_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-}
-
-void ShmTupleSink::run() {
-  using namespace std::chrono_literals;
-  ShmRingProducer prod(*segment_);
-  PeerWatch watch;
-  bool ever_attached = false;
-  DataTuple t;
-  bool have = false;
-
-  while (!stop_requested()) {
-    prod.beat();
-    sample_gauges(prod);
-    if (!ever_attached && prod.consumer().pid != 0) ever_attached = true;
-    if (!have) {
-      if (in_->pop_for(t, 50ms)) {
-        have = true;
-        metrics_.record_in(t.wire_bytes());
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-      } else if (in_->closed() && in_->size() == 0) {
-        break;  // input exhausted: flush below
-      } else {
-        continue;  // idle: keep beating
-      }
-    }
-    if (degraded_.load(std::memory_order_relaxed)) {
-      // Heal when a (new) consumer is alive and made room; until then the
-      // producer flows on and every drop is counted.
-      if (watch.observe(prod.consumer(), options_.peer_timeout) ==
-              PeerWatch::State::kAlive &&
-          !prod.full()) {
-        degraded_.store(false, std::memory_order_relaxed);
-      } else {
-        metrics_.record_dropped();
-        lossy_dropped_.fetch_add(1, std::memory_order_relaxed);
-        if (arena_) arena_->release(t);
-        have = false;
-        continue;
-      }
-    }
-    if (prod.full()) {
-      if (!wait_for_room(prod, watch)) continue;  // stopped or degraded
-    }
-    const std::uint64_t seq = prod.next_seq();
-    const std::span<std::uint8_t> slot = prod.stage(seq);
-    const std::size_t n = io::encode_tuple_into(slot, t, seq);
-    if (arena_) arena_->release(t);  // the frame is the tuple now
-    have = false;
-    if (n == 0) {
-      // Geometry misconfiguration (tuple bigger than a slot): counted,
-      // never silently truncated.
-      oversize_dropped_.fetch_add(1, std::memory_order_relaxed);
-      lossy_dropped_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.record_dropped();
-      continue;
-    }
-    if (options_.fault) {
-      const auto plan = options_.fault->plan_commit(seq, n);
-      for (const auto& [off, mask] : plan.flips) slot[off] ^= mask;
-      if (plan.die) {
-        // Simulated crash mid-commit: the slot is written but head never
-        // advances — no flush, no bye, no further heartbeats.  The
-        // consumer's peer-death detection must fire.
-        crashed_ = true;
-        set_stop_reason(StopReason::kError);
-        return;
-      }
-    }
-    if (prod.commit(seq, n)) wraps_.fetch_add(1, std::memory_order_relaxed);
-    frames_committed_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.record_out(n);
-  }
-
-  flush(prod, watch);
-  if (stop_requested()) {
-    set_stop_reason(StopReason::kRequested);
-  } else if (!ever_attached && prod.consumer().pid == 0) {
-    // No consumer ever attached: the transport never worked.
-    set_stop_reason(StopReason::kError);
-  } else {
-    set_stop_reason(StopReason::kUpstreamClosed);
-  }
+  beat();
+  // One tail read decides both sides, so a tail that moves after it cannot
+  // count a tuple as acked and lossy at once.
+  const std::uint64_t tail = prod_->tail();
+  acked_.store(tail, std::memory_order_relaxed);
+  return prod_->head() - tail;
 }
 
 ShmSinkCounters ShmTupleSink::counters() const noexcept {
   ShmSinkCounters c;
-  c.accepted = accepted_.load(std::memory_order_relaxed);
-  c.acked = acked_.load(std::memory_order_relaxed);
-  c.lossy_dropped = lossy_dropped_.load(std::memory_order_relaxed);
+  static_cast<SessionSinkCounters&>(c) = session_counters();
   c.frames_committed = frames_committed_.load(std::memory_order_relaxed);
   c.oversize_dropped = oversize_dropped_.load(std::memory_order_relaxed);
   c.blocked_waits = blocked_waits_.load(std::memory_order_relaxed);
@@ -224,7 +179,6 @@ ShmSinkCounters ShmTupleSink::counters() const noexcept {
   c.ring_depth = ring_depth_.load(std::memory_order_relaxed);
   c.consumer_generations =
       consumer_generations_.load(std::memory_order_relaxed);
-  c.degraded = degraded_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -235,9 +189,8 @@ ShmSinkCounters ShmTupleSink::counters() const noexcept {
 ShmTupleServer::ShmTupleServer(std::string name, std::string segment,
                                ChannelPtr<DataTuple> out,
                                ShmTransportOptions options)
-    : Operator(std::move(name)),
+    : SessionServer(std::move(name), std::move(out)),
       segment_name_(std::move(segment)),
-      out_(std::move(out)),
       options_(options) {}
 
 ShmTupleServer::~ShmTupleServer() { join(); }
@@ -255,38 +208,22 @@ bool ShmTupleServer::attach() {
   return false;
 }
 
-void ShmTupleServer::quarantine_slot(std::uint64_t seq) {
-  quarantined_.fetch_add(1, std::memory_order_relaxed);
-  ++quarantined_since_attach_;
-  metrics_.record_dropped();
-  if (!dlq_) return;
-  // The slot failed validation, so nothing in it can be trusted except a
-  // position in the stream: forward a husk carrying the (claimed or
-  // positional) seq so the gap is observable downstream.  Non-blocking —
-  // a full DLQ must not wedge the transport.
-  DeadLetter dl;
-  dl.tuple.seq = seq;
-  dl.reason = spectra::RejectReason::kCorruptFrame;
-  if (dlq_->try_push(dl)) {
-    dead_letters_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    dead_letter_overflow_.fetch_add(1, std::memory_order_relaxed);
-  }
+std::uint64_t ShmTupleServer::quarantined() const noexcept {
+  const SessionServerCounters c = session_counters();
+  return c.crc_rejects + c.payload_rejects + c.protocol_errors;
 }
 
 std::uint64_t ShmTupleServer::tail_target(const ShmRingConsumer& cons) const {
-  if (!applied_watermark_) return cons.cursor();
-  // Durable gating: the producer may only reclaim slots the application
-  // durably applied.  Quarantined husks never reach the application, so
-  // they are credited on top of the watermark — but duplicates are NOT
-  // (they sit at or below the resume point, which the watermark already
-  // covers; crediting them would let the tail outrun durability).
-  return std::min(cons.cursor(),
-                  applied_watermark_() + quarantined_since_attach_);
+  // Quarantined husks never reach the application, so they are credited
+  // on top of the watermark — but duplicates are NOT (they sit at or below
+  // the resume point, which the watermark already covers; crediting them
+  // would let the tail outrun durability).
+  return cap_at_watermark(cons.cursor(),
+                          quarantined() - quarantined_at_attach_);
 }
 
-ShmTupleServer::SlotOutcome ShmTupleServer::consume_slot(
-    ShmRingConsumer& cons, std::uint64_t resume) {
+bool ShmTupleServer::consume_slot(ShmRingConsumer& cons,
+                                  std::uint64_t resume) {
   const std::uint64_t position = cons.cursor() + 1;
   if (options_.fault) {
     auto delay = options_.fault->plan_consume(position);
@@ -298,53 +235,24 @@ ShmTupleServer::SlotOutcome ShmTupleServer::consume_slot(
     }
   }
   const std::span<const std::uint8_t> frame = cons.peek();
-  if (frame.empty()) {
-    // Length prefix outside any valid frame size: positional quarantine.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    quarantine_slot(position);
-    cons.advance();
-    return SlotOutcome::kQuarantined;
-  }
-  metrics_.record_in(frame.size());
-  const auto header = io::decode_frame_header(frame.first(io::kFrameHeaderBytes));
-  if (!header || header->payload_bytes != frame.size() - io::kFrameHeaderBytes ||
+  const auto header =
+      frame.empty()
+          ? std::nullopt
+          : io::decode_frame_header(frame.first(io::kFrameHeaderBytes));
+  if (!header ||
+      header->payload_bytes != frame.size() - io::kFrameHeaderBytes ||
       header->type != io::FrameType::kTuple) {
-    // Undecodable or non-tuple frame in a data ring: protocol damage.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    quarantine_slot(position);
-    cons.advance();
-    return SlotOutcome::kQuarantined;
+    // A length prefix outside any valid frame size, or an undecodable or
+    // non-tuple frame in a data ring: protocol damage, husked under the
+    // slot's position.
+    reject_protocol(frame.size());
+    quarantine(position);
+  } else if (judge(*header, frame, /*floor=*/resume,
+                   /*next=*/header->seq) == Verdict::kClosed) {
+    return false;  // pipeline shutting down
   }
-  const std::span<const std::uint8_t> payload =
-      frame.subspan(io::kFrameHeaderBytes);
-  if (!io::verify_frame_crc(frame.first(io::kFrameHeaderBytes), payload)) {
-    crc_rejects_.fetch_add(1, std::memory_order_relaxed);
-    quarantine_slot(header->seq);
-    cons.advance();
-    return SlotOutcome::kQuarantined;
-  }
-  if (header->seq <= resume) {
-    // Restart replay of an already durably applied tuple: filtered, never
-    // re-delivered.
-    duplicates_.fetch_add(1, std::memory_order_relaxed);
-    cons.advance();
-    return SlotOutcome::kDuplicate;
-  }
-  if (arena_) arena_->acquire(staging_);
-  if (!io::decode_tuple_payload_into(payload, staging_)) {
-    payload_rejects_.fetch_add(1, std::memory_order_relaxed);
-    quarantine_slot(header->seq);
-    cons.advance();
-    return SlotOutcome::kQuarantined;
-  }
-  const std::size_t bytes = staging_.wire_bytes();
-  if (!out_->push(std::move(staging_))) {
-    return SlotOutcome::kDownstreamClosed;  // pipeline shutting down
-  }
-  delivered_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.record_out(bytes);
   cons.advance();
-  return SlotOutcome::kDelivered;
+  return true;
 }
 
 void ShmTupleServer::final_drain(ShmRingConsumer& cons) {
@@ -368,82 +276,45 @@ void ShmTupleServer::final_drain(ShmRingConsumer& cons) {
   }
 }
 
-void ShmTupleServer::run() {
-  if (!attach()) {
-    out_->close();
-    set_stop_reason(stop_requested() ? StopReason::kRequested
-                                     : StopReason::kError);
-    return;
-  }
+StopReason ShmTupleServer::serve() {
+  if (!attach()) return StopReason::kError;
   ShmRingConsumer cons(*segment_);
-  sessions_.fetch_add(1, std::memory_order_relaxed);
-  quarantined_since_attach_ = 0;
-  const std::uint64_t resume = resume_point_ ? resume_point_() : 0;
-  if (resume > 0) resumes_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t resume = resume_point();
+  open_session(resume);
+  quarantined_at_attach_ = quarantined();
 
   PeerWatch watch;
   unsigned spins = 0;
-  bool clean_bye = false;
-  bool producer_dead = false;
-  bool downstream_closed = false;
-
   while (!stop_requested()) {
     cons.beat();
     if (!cons.empty()) {
       spins = 0;
-      const SlotOutcome outcome = consume_slot(cons, resume);
-      if (outcome == SlotOutcome::kDownstreamClosed) {
-        downstream_closed = true;
-        break;
-      }
+      if (!consume_slot(cons, resume)) return StopReason::kRequested;
       cons.publish_tail(tail_target(cons));
       continue;
     }
     if (cons.bye()) {
       // Producer committed its last frame and will never commit another.
       final_drain(cons);
-      byes_.store(1, std::memory_order_relaxed);
-      clean_bye = true;
-      break;
+      byes_.fetch_add(1, std::memory_order_relaxed);
+      return StopReason::kUpstreamClosed;
     }
     if (watch.observe(cons.producer(), options_.peer_timeout) ==
         PeerWatch::State::kDead) {
       producer_deaths_.fetch_add(1, std::memory_order_relaxed);
-      producer_dead = true;
-      break;
+      return StopReason::kError;
     }
     cons.publish_tail(tail_target(cons));  // idle: keep draining watermark
     backoff(spins);
   }
-  if (arena_) arena_->release(staging_);
-  out_->close();  // downstream drains what was delivered, then exits
-
-  if (stop_requested() || downstream_closed) {
-    set_stop_reason(StopReason::kRequested);
-  } else if (producer_dead) {
-    set_stop_reason(StopReason::kError);
-  } else if (clean_bye) {
-    set_stop_reason(StopReason::kUpstreamClosed);
-  } else {
-    set_stop_reason(StopReason::kError);
-  }
+  return StopReason::kRequested;
 }
 
 ShmServerCounters ShmTupleServer::counters() const noexcept {
   ShmServerCounters c;
-  c.delivered = delivered_.load(std::memory_order_relaxed);
-  c.duplicates = duplicates_.load(std::memory_order_relaxed);
-  c.crc_rejects = crc_rejects_.load(std::memory_order_relaxed);
-  c.payload_rejects = payload_rejects_.load(std::memory_order_relaxed);
-  c.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  c.quarantined = quarantined_.load(std::memory_order_relaxed);
-  c.sessions = sessions_.load(std::memory_order_relaxed);
-  c.resumes = resumes_.load(std::memory_order_relaxed);
-  c.byes = byes_.load(std::memory_order_relaxed);
+  static_cast<SessionServerCounters&>(c) = session_counters();
+  c.quarantined = c.crc_rejects + c.payload_rejects + c.protocol_errors;
   c.producer_deaths = producer_deaths_.load(std::memory_order_relaxed);
-  c.dead_letters = dead_letters_.load(std::memory_order_relaxed);
-  c.dead_letter_overflow =
-      dead_letter_overflow_.load(std::memory_order_relaxed);
   return c;
 }
 

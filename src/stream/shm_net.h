@@ -1,35 +1,21 @@
 #pragma once
 
-// Same-host shared-memory tuple transport endpoints (DESIGN.md
+// Same-host shared-memory carrier for the session transport (DESIGN.md
 // "Transport", "Shared-memory leg"): ShmTupleSink and ShmTupleServer are
-// drop-in siblings of the TCP pair in stream/net.h, implementing the same
-// session contract over a ShmRing instead of a socket:
+// drop-in siblings of the TCP pair in stream/net.h over a ShmRing.  The
+// session contract lives in stream/session.h.  This file keeps the ring
+// I/O: stage and commit, tail publish, PeerWatch liveness (pid + heartbeat
+// staleness), and the header's bye flag as the end-of-stream marker.
 //
-//   * Every slot carries a CRC32C-protected v2 frame (io/frame.h); a slot
-//     damaged in the segment is rejected with typed accounting, forwarded
-//     to the PR 4 dead-letter queue as a husk, and *skipped* — unlike TCP
-//     there is no second copy to retransmit (the ring slot IS the sender's
-//     copy), so quarantine-and-advance is the honest semantics.
-//   * The ring is the retransmit window: the producer can only overwrite
-//     a slot once the consumer's tail passed it, and the tail is gated on
-//     the applied watermark (set_applied_watermark), so a kill -9'd
-//     consumer restart re-attaches and replays exactly the unconsumed
-//     suffix — the resume point (set_resume_point) filters the replayed
-//     prefix as counted duplicates.  Zero loss, zero duplication.
-//   * Peer death is detected via pid liveness + heartbeat staleness
-//     (shm_ring.h PeerWatch).  A consumer that stays dead past
-//     restart_timeout flips the sink to the degraded counted-lossy mode
-//     (accepted == acked + lossy_dropped stays exact); it re-heals when a
-//     new consumer generation attaches.
-//   * End of stream is the header's bye flag (the shm analog of kBye):
-//     set after the last commit, so a draining consumer exits exactly at
-//     head.
+// The ring is the retransmit window: the producer overwrites a slot only
+// once the tail passed it, so a kill -9'd consumer that re-attaches replays
+// exactly the unconsumed suffix.  There is no second copy of a slot, so a
+// rejected slot is skipped after its husk (quarantine-and-advance).
 //
 // The steady path allocates nothing: frames are encoded straight into the
 // ring slot (io::encode_tuple_into) and decoded into an arena-leased
-// recycled tuple (io::decode_tuple_payload_into + stream/tuple_arena.h),
-// so the pipeline's zero-alloc tuple lifecycle survives the process hop —
-// the property BENCH_transport.json's shm rows gate.
+// recycled tuple, so the zero-alloc tuple lifecycle survives the process
+// hop — the property BENCH_transport.json's shm rows gate.
 //
 // Determinism: layer a ShmFaultInjector (stream/shm_fault.h) under the
 // endpoints to replay slot corruption, consumer stalls, and producer
@@ -38,15 +24,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
-#include "stream/dead_letter.h"
-#include "stream/operator.h"
+#include "stream/session.h"
 #include "stream/shm_fault.h"
 #include "stream/shm_ring.h"
-#include "stream/tuple_arena.h"
 
 namespace astro::stream {
 
@@ -73,41 +57,28 @@ struct ShmTransportOptions {
   std::shared_ptr<ShmFaultInjector> fault;
 };
 
-/// Live producer-side counters (readable while the sink runs).
-struct ShmSinkCounters {
-  std::uint64_t accepted = 0;       ///< tuples assigned a transport seq
-  std::uint64_t acked = 0;          ///< tuples tail-confirmed durable
-  std::uint64_t lossy_dropped = 0;  ///< counted drops (degraded / give-up)
+/// Producer counters: the shared session counters (stream/session.h) plus
+/// the ring's own.
+struct ShmSinkCounters : SessionSinkCounters {
   std::uint64_t frames_committed = 0;
   std::uint64_t oversize_dropped = 0;  ///< tuples too big for a slot
   std::uint64_t blocked_waits = 0;  ///< full-ring wait episodes
   std::uint64_t wraps = 0;          ///< ring laps (slot-0 reuses)
   std::uint64_t ring_depth = 0;     ///< head - tail, sampled
   std::uint64_t consumer_generations = 0;  ///< attach incarnations observed
-  bool degraded = false;
 };
 
-/// Live consumer-side counters.
-struct ShmServerCounters {
-  std::uint64_t delivered = 0;       ///< unique tuples pushed downstream
-  std::uint64_t duplicates = 0;      ///< seqs <= resume point (restart replay)
-  std::uint64_t crc_rejects = 0;     ///< slots failing CRC32C
-  std::uint64_t payload_rejects = 0; ///< CRC-valid but malformed bodies
-  std::uint64_t protocol_errors = 0; ///< undecodable slots (length/header)
+/// Consumer counters: the shared session counters plus the ring's own.
+struct ShmServerCounters : SessionServerCounters {
   std::uint64_t quarantined = 0;     ///< slots skipped past (all reject kinds)
-  std::uint64_t sessions = 0;        ///< successful attaches (this incarnation)
-  std::uint64_t resumes = 0;         ///< attaches with a resume point > 0
-  std::uint64_t byes = 0;            ///< clean end-of-stream observed
   std::uint64_t producer_deaths = 0;
-  std::uint64_t dead_letters = 0;
-  std::uint64_t dead_letter_overflow = 0;
 };
 
 /// Egress operator: creates the segment (producer side owns the name),
 /// encodes every input tuple straight into a ring slot, and flushes —
 /// waits for the consumer's durable tail to reach head — before marking
 /// bye and exiting.
-class ShmTupleSink final : public Operator {
+class ShmTupleSink final : public SessionSink {
  public:
   /// Creates `segment` (unlinking a stale one) with the options' geometry.
   /// Throws std::runtime_error when the segment cannot be created.
@@ -128,62 +99,45 @@ class ShmTupleSink final : public Operator {
   [[nodiscard]] ShmSinkCounters counters() const noexcept;
 
  protected:
-  void run() override;
+  bool open() override;
+  void idle() override { beat(); }
+  bool heal() override;
+  Handoff send(DataTuple& t) override;
+  std::uint64_t flush() override;
+  [[nodiscard]] bool ever_connected() const override { return ever_attached_; }
 
  private:
-  [[nodiscard]] bool wait_for_room(ShmRingProducer& prod, PeerWatch& watch);
-  void flush(ShmRingProducer& prod, PeerWatch& watch);
-  void sample_gauges(const ShmRingProducer& prod);
+  /// Heartbeat, gauge sampling (depth, acked = tail, generations).
+  void beat();
+  [[nodiscard]] bool wait_for_room();
+  /// True once the consumer has been dead or absent continuously past
+  /// restart_timeout; `dead_since` carries the streak across calls.
+  [[nodiscard]] bool consumer_gone(
+      std::chrono::steady_clock::time_point& dead_since);
 
   std::unique_ptr<ShmRingSegment> segment_;
-  ChannelPtr<DataTuple> in_;
   ShmTransportOptions options_;
-  TupleArena* arena_ = nullptr;
-  bool crashed_ = false;  // die_at_commit fired: no flush, no bye
+  std::optional<ShmRingProducer> prod_;  // registered when the run starts
+  PeerWatch watch_;
+  bool ever_attached_ = false;
 
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> acked_{0};
-  std::atomic<std::uint64_t> lossy_dropped_{0};
   std::atomic<std::uint64_t> frames_committed_{0};
   std::atomic<std::uint64_t> oversize_dropped_{0};
   std::atomic<std::uint64_t> blocked_waits_{0};
   std::atomic<std::uint64_t> wraps_{0};
   std::atomic<std::uint64_t> ring_depth_{0};
   std::atomic<std::uint64_t> consumer_generations_{0};
-  std::atomic<bool> degraded_{false};
 };
 
 /// Source operator: attaches to the producer's segment (polling until it
 /// appears), consumes frames from the ring, and pushes decoded tuples
 /// downstream exactly once.  Exits on bye (after the durable tail caught
 /// up) or on producer death.
-class ShmTupleServer final : public Operator {
+class ShmTupleServer final : public SessionServer {
  public:
   ShmTupleServer(std::string name, std::string segment,
                  ChannelPtr<DataTuple> out, ShmTransportOptions options = {});
   ~ShmTupleServer() override;
-
-  /// Forwards rejected slots to a dead-letter channel as husks with
-  /// reason kCorruptFrame (non-blocking; overflow counted).  Call before
-  /// start().
-  void set_dead_letters(ChannelPtr<DeadLetter> dlq) { dlq_ = std::move(dlq); }
-
-  /// Durable session resume: highest transport seq the application
-  /// already applied durably (e.g. a recovered log's line count).  Frames
-  /// at or below it are counted duplicates, never re-delivered.  Call
-  /// before start().
-  void set_resume_point(std::function<std::uint64_t()> fn) {
-    resume_point_ = std::move(fn);
-  }
-
-  /// Tail gating: the ring tail never advances past this watermark (plus
-  /// quarantined husks, which have no durable application), so the
-  /// producer only reclaims slots the application durably applied —
-  /// exactly-once across consumer crashes.  Unset = everything pushed
-  /// downstream counts as applied.  Call before start().
-  void set_applied_watermark(std::function<std::uint64_t()> fn) {
-    applied_watermark_ = std::move(fn);
-  }
 
   /// Wires the zero-alloc decode path: each delivered tuple's payload is
   /// leased from `arena` (released downstream as usual).  Call before
@@ -193,41 +147,24 @@ class ShmTupleServer final : public Operator {
   [[nodiscard]] ShmServerCounters counters() const noexcept;
 
  protected:
-  void run() override;
+  StopReason serve() override;
 
  private:
-  enum class SlotOutcome { kDelivered, kDuplicate, kQuarantined,
-                           kDownstreamClosed };
-
   [[nodiscard]] bool attach();
-  SlotOutcome consume_slot(ShmRingConsumer& cons, std::uint64_t resume);
-  void quarantine_slot(std::uint64_t seq);
+  /// Judges the slot at the cursor and advances past it; false when
+  /// downstream closed before the tuple could be pushed.  Commits land in
+  /// seq order, so no slot is ever held back as a gap.
+  bool consume_slot(ShmRingConsumer& cons, std::uint64_t resume);
+  [[nodiscard]] std::uint64_t quarantined() const noexcept;
   [[nodiscard]] std::uint64_t tail_target(const ShmRingConsumer& cons) const;
   void final_drain(ShmRingConsumer& cons);
 
   std::string segment_name_;
   std::unique_ptr<ShmRingSegment> segment_;
-  ChannelPtr<DataTuple> out_;
   ShmTransportOptions options_;
-  ChannelPtr<DeadLetter> dlq_;
-  std::function<std::uint64_t()> resume_point_;
-  std::function<std::uint64_t()> applied_watermark_;
-  TupleArena* arena_ = nullptr;
-  DataTuple staging_;              // recycled decode target
-  std::uint64_t quarantined_since_attach_ = 0;
+  std::uint64_t quarantined_at_attach_ = 0;
 
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> duplicates_{0};
-  std::atomic<std::uint64_t> crc_rejects_{0};
-  std::atomic<std::uint64_t> payload_rejects_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> quarantined_{0};
-  std::atomic<std::uint64_t> sessions_{0};
-  std::atomic<std::uint64_t> resumes_{0};
-  std::atomic<std::uint64_t> byes_{0};
   std::atomic<std::uint64_t> producer_deaths_{0};
-  std::atomic<std::uint64_t> dead_letters_{0};
-  std::atomic<std::uint64_t> dead_letter_overflow_{0};
 };
 
 }  // namespace astro::stream

@@ -21,6 +21,7 @@
 #include "app/pipeline.h"
 #include "stats/rng.h"
 #include "stream/net.h"
+#include "stream/shm_net.h"
 #include "sync/controller.h"
 #include "tests/pca/test_data.h"
 
@@ -200,6 +201,51 @@ TEST(ShutdownTcpSink, StopsInsideReconnectBackoff) {
   EXPECT_LT(took, kStopBound) << "stop took " << ms(took) << " ms";
   EXPECT_EQ(sink.stop_reason(), stream::StopReason::kRequested);
   EXPECT_GE(sink.counters().backoff_ms_last, 1800u * 1000u);
+}
+
+TEST(ShutdownShmSink, StopsWhileParkedOnAFullRing) {
+  // No consumer ever attaches and the restart grace is an hour: the sink
+  // fills the ring and parks waiting for room.
+  stream::ShmTransportOptions opts;
+  opts.ring_capacity = 4;
+  opts.max_frame_bytes = 256;
+  opts.restart_timeout = std::chrono::milliseconds(3600s);
+  auto in = stream::make_channel<stream::DataTuple>(16);
+  stream::ShmTupleSink sink(
+      "uplink", "astro-shutdown-sink-" + std::to_string(::getpid()), in, opts);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    stream::DataTuple t;
+    t.seq = i;
+    t.values = linalg::Vector(4, 1.0);
+    ASSERT_TRUE(in->push(std::move(t)));
+  }
+  sink.start();
+  ASSERT_TRUE(poll_until([&] { return sink.counters().blocked_waits > 0; }));
+  std::this_thread::sleep_for(20ms);
+
+  const auto took = stop_and_join(sink);
+  EXPECT_LT(took, kStopBound) << "stop took " << ms(took) << " ms";
+  EXPECT_EQ(sink.stop_reason(), stream::StopReason::kRequested);
+  const stream::ShmSinkCounters c = sink.counters();
+  EXPECT_EQ(c.ring_depth, opts.ring_capacity);
+  EXPECT_EQ(c.accepted, c.acked + c.lossy_dropped);
+}
+
+TEST(ShutdownShmServer, StopsWhileWaitingForTheSegment) {
+  // The segment never appears and the attach deadline is an hour.
+  stream::ShmTransportOptions opts;
+  opts.attach_timeout = std::chrono::milliseconds(3600s);
+  auto out = stream::make_channel<stream::DataTuple>(4);
+  stream::ShmTupleServer server(
+      "downlink", "astro-shutdown-absent-" + std::to_string(::getpid()), out,
+      opts);
+  server.start();
+  std::this_thread::sleep_for(20ms);
+
+  const auto took = stop_and_join(server);
+  EXPECT_LT(took, kStopBound) << "stop took " << ms(took) << " ms";
+  EXPECT_EQ(server.stop_reason(), stream::StopReason::kRequested);
+  EXPECT_TRUE(out->closed());
 }
 
 TEST(ShutdownValidate, StopMidStreamWithValidationJoinsPromptly) {

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "app/pipeline.h"
+#include "io/frame.h"
 #include "stream/shm_net.h"
 
 namespace astro::stream {
@@ -155,6 +157,11 @@ TEST(ShmSession, CorruptSlotsQuarantineWithExactConservation) {
   }
   EXPECT_EQ(husk_seqs, (std::vector<std::uint64_t>{17, 100, 250}));
 
+  // Every judged frame counts once in and lands in exactly one bin (the
+  // ring has no out-of-order bin).
+  const OperatorMetrics& m = server.metrics();
+  EXPECT_EQ(m.tuples_in(), m.tuples_out() + m.dropped() + vc.duplicates);
+
   // Sink-side: corruption is a receiver-side reject, not a sender loss —
   // the tail still covers the husks, so the flush completes cleanly.
   const ShmSinkCounters sc = sink.counters();
@@ -162,6 +169,63 @@ TEST(ShmSession, CorruptSlotsQuarantineWithExactConservation) {
   EXPECT_EQ(sc.acked, kN);
   EXPECT_EQ(sc.lossy_dropped, 0u);
   EXPECT_EQ(fault->corruptions_injected(), 3u);
+}
+
+TEST(ShmSession, MalformedBodiesAndFullDeadLettersNeverBlock) {
+  // Frames staged by hand: one CRC-valid kTuple frame whose body is
+  // malformed, then frames damaged after their CRC was computed.  Every
+  // one is rejected; the dead-letter channel holds one husk and nobody
+  // drains it, so the rest overflow, counted, while the consumer keeps
+  // going until the bye.
+  constexpr std::size_t kDamaged = 3;
+  ShmTransportOptions opts;
+  opts.ring_capacity = 8;
+  opts.max_frame_bytes = 256;
+  const std::string seg = unique_segment("malformed");
+  auto segment = ShmRingSegment::create(
+      seg, opts.ring_capacity, kShmSlotPrefixBytes + opts.max_frame_bytes);
+  ShmRingProducer prod(*segment);
+  const auto stage = [&prod](const std::vector<std::uint8_t>& frame) {
+    const std::uint64_t seq = prod.next_seq();
+    const std::span<std::uint8_t> slot = prod.stage(seq);
+    std::copy(frame.begin(), frame.end(), slot.begin());
+    prod.commit(seq, frame.size());
+  };
+  const std::vector<std::uint8_t> body = {1, 2, 3, 4, 5};  // too short
+  stage(io::encode_frame(io::FrameType::kTuple, 1, body));
+  for (std::uint64_t k = 0; k < kDamaged; ++k) {
+    auto frame = io::encode_tuple(make_tuple(k, 4), 2 + k);
+    frame[io::kFrameHeaderBytes + 4] ^= 0x10;
+    stage(frame);
+  }
+  prod.set_bye();
+
+  auto out = make_channel<DataTuple>(16);
+  auto dlq = make_channel<DeadLetter>(1);
+  ShmTupleServer server("downlink", seg, out, opts);
+  server.set_dead_letters(dlq);
+  server.start();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.counters().byes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(2));
+  }
+  ASSERT_EQ(server.counters().byes, 1u) << "the consumer blocked";
+  server.join();
+
+  const ShmServerCounters vc = server.counters();
+  EXPECT_EQ(vc.payload_rejects, 1u);
+  EXPECT_EQ(vc.crc_rejects, kDamaged);
+  EXPECT_EQ(vc.quarantined, 1 + kDamaged);
+  EXPECT_EQ(vc.dead_letters, 1u);
+  EXPECT_GT(vc.dead_letter_overflow, 0u);
+  EXPECT_EQ(vc.dead_letters + vc.dead_letter_overflow,
+            vc.crc_rejects + vc.payload_rejects);
+  EXPECT_EQ(vc.delivered, 0u);
+  EXPECT_EQ(out->size(), 0u) << "a rejected frame was delivered";
+  EXPECT_EQ(prod.tail(), prod.head()) << "husks must free their slots";
+  const OperatorMetrics& m = server.metrics();
+  EXPECT_EQ(m.tuples_in(), m.tuples_out() + m.dropped() + vc.duplicates);
 }
 
 TEST(ShmSession, ConsumerRestartReplaysExactlyTheUnconsumedSuffix) {

@@ -13,6 +13,11 @@
 
 #include "stream/net.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,12 +169,80 @@ TEST(TransportSession, CrcRejectQuarantinedThenHealedByRetransmit) {
   EXPECT_EQ(s.dead_letters, 1u);
   EXPECT_EQ(s.delivered, kN);
   EXPECT_EQ(dead.count(spectra::RejectReason::kCorruptFrame), 1u);
+  // Every judged data frame counts once in and lands in exactly one bin.
+  const OperatorMetrics& m = server->metrics();
+  EXPECT_EQ(m.tuples_in(),
+            m.tuples_out() + m.dropped() + s.duplicates + s.out_of_order);
   const TcpSinkCounters c = sink->counters();
   EXPECT_EQ(c.acked, kN);
   EXPECT_EQ(c.lossy_dropped, 0u);
   // The damaged frame was never acked, so the recovery must have re-sent it.
   EXPECT_GE(c.retransmits, 1u);
   EXPECT_GE(c.outages, 1u);
+}
+
+TEST(TransportSession, MalformedBodiesAndFullDeadLettersNeverBlock) {
+  // A raw client speaks the wire protocol by hand: one CRC-valid kTuple
+  // frame whose body is malformed, then frames damaged after their CRC was
+  // computed.  Every one is rejected; the dead-letter channel holds one
+  // husk and nobody drains it, so the rest overflow, counted, while the
+  // receive loop keeps going until the kBye.
+  constexpr std::size_t kDamaged = 3;
+  auto out = make_channel<DataTuple>(16);
+  auto dlq = make_channel<DeadLetter>(1);
+  TcpServerOptions sopts;
+  sopts.exit_on_bye = true;
+  TcpTupleServer server("server", 0, out, 1, sopts);
+  server.set_dead_letters(dlq);
+  server.start();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::vector<std::uint8_t> wire =
+      io::encode_control_frame(io::FrameType::kHello, 0);
+  const std::vector<std::uint8_t> body = {1, 2, 3, 4, 5};  // too short
+  const auto malformed = io::encode_frame(io::FrameType::kTuple, 1, body);
+  wire.insert(wire.end(), malformed.begin(), malformed.end());
+  DataTuple t;
+  t.values = linalg::Vector(kDim, 1.0);
+  for (std::uint64_t k = 0; k < kDamaged; ++k) {
+    auto frame = io::encode_tuple(t, 2 + k);
+    frame[io::kFrameHeaderBytes + 4] ^= 0x10;
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+  const auto bye = io::encode_control_frame(io::FrameType::kBye, 1 + kDamaged);
+  wire.insert(wire.end(), bye.begin(), bye.end());
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            ssize_t(wire.size()));
+
+  // exit_on_bye: the server ends once it read everything up to the kBye.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.counters().byes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(2));
+  }
+  ::close(fd);
+  ASSERT_EQ(server.counters().byes, 1u) << "the receive loop blocked";
+  server.join();
+
+  const TcpServerCounters s = server.counters();
+  EXPECT_EQ(s.payload_rejects, 1u);
+  EXPECT_EQ(s.crc_rejects, kDamaged);
+  EXPECT_EQ(s.dead_letters, 1u);
+  EXPECT_GT(s.dead_letter_overflow, 0u);
+  EXPECT_EQ(s.dead_letters + s.dead_letter_overflow,
+            s.crc_rejects + s.payload_rejects);
+  EXPECT_EQ(s.delivered, 0u);
+  EXPECT_EQ(out->size(), 0u) << "a rejected frame was delivered";
+  const OperatorMetrics& m = server.metrics();
+  EXPECT_EQ(m.tuples_in(),
+            m.tuples_out() + m.dropped() + s.duplicates + s.out_of_order);
 }
 
 TEST(TransportSession, StalledLinkHitsWriteDeadlineAndRecovers) {
@@ -278,9 +351,11 @@ TEST(TransportSession, DegradedLinkCountsDropsThenReheals) {
 
   const TcpSinkCounters c = sink->counters();
   EXPECT_EQ(sink->metrics().tuples_in(), 10u);
+  EXPECT_EQ(c.accepted, 10u);
   EXPECT_EQ(c.lossy_dropped, 5u);
   EXPECT_EQ(c.acked, 5u);
   EXPECT_EQ(c.acked + c.lossy_dropped, 10u);
+  EXPECT_EQ(c.accepted, c.acked + c.lossy_dropped);
   EXPECT_FALSE(c.degraded);
   EXPECT_EQ(fault->connects_failed(), 3u);
   const auto items = collector->snapshot();
