@@ -106,15 +106,8 @@ void StreamingPcaPipeline::add_transport(Sink* sink, Server* server) {
 
 StreamingPcaPipeline::StreamingPcaPipeline(
     const PipelineConfig& config, stream::GeneratorSource::Generator generator)
-    : config_(config) {
-  generator_ = [gen = std::move(generator)]()
-      -> std::optional<stream::SourceItem> {
-    auto v = gen();
-    if (!v.has_value()) return std::nullopt;
-    return stream::SourceItem{std::move(*v), {}};
-  };
-  build(config);
-}
+    : StreamingPcaPipeline(
+          config, stream::GeneratorSource::wrap(std::move(generator))) {}
 
 StreamingPcaPipeline::StreamingPcaPipeline(
     const PipelineConfig& config,
@@ -156,9 +149,10 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
   if (config.pca.dim > 0 && !tcp_transport) {
     std::size_t slabs = config.arena_capacity;
     if (slabs == 0) {
-      // The shm leg splices one extra data channel (downlink -> ingest)
-      // into the graph; without counting it the pool runs dry under load.
-      const std::size_t data_channels = 1 + (config.transport.enabled ? 1 : 0) +
+      // The data channels that exist: the engine ports, the outlier
+      // stream, and with a transport the source -> uplink queue.  The
+      // fused split's in-edge buffers nothing.
+      const std::size_t data_channels = (config.transport.enabled ? 1 : 0) +
                                         n + (config.collect_outliers ? 1 : 0);
       slabs = data_channels * config.channel_capacity +
               n * (std::max<std::size_t>(config.batch_max, 1) + 4) + 64;
@@ -168,27 +162,67 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
 
   // Data plane.  Channels register their gauges with the registry under
   // "chan.<from>-><to>" names.  With ingest validation enabled the split
-  // runs the gatekeeper ("validate") on its thread, with rejects flowing
-  // to a bounded dead-letter queue instead of the engines.
-  const std::string ingest_stage =
-      config.validate_ingest ? "validate" : "split";
-  auto source_out = make_named_channel<DataTuple>(
-      config.transport.enabled ? "chan.source->uplink"
-                               : "chan.source->" + ingest_stage,
-      config.channel_capacity);
-  source_out_ = source_out;
+  // runs the gatekeeper ("validate"), with rejects flowing to a bounded
+  // dead-letter queue instead of the engines.
+  if (config.validate_ingest) {
+    dead_letter_channel_ = make_named_channel<stream::DeadLetter>(
+        "chan.validate->dlq", config.dead_letter_capacity);
+    spectra::ValidationPolicy policy = config.validation;
+    if (policy.expected_dim == 0) policy.expected_dim = config.pca.dim;
+    gate_ = std::make_unique<stream::IngestGate>(dead_letter_channel_, policy,
+                                                 arena_.get());
+    registry_.add_operator(
+        "validate", &gate_->metrics(),
+        [v = gate_.get()] {
+          std::vector<std::pair<std::string, double>> extras{
+              {"accepted", double(v->accepted())},
+              {"quarantined", double(v->quarantined())},
+              {"repaired", double(v->repaired())},
+              {"repaired_pixels", double(v->repaired_pixels())},
+              {"dlq_overflow", double(v->dlq_overflow())}};
+          for (int r = 1; r < int(spectra::RejectReason::kCount); ++r) {
+            const auto reason = spectra::RejectReason(r);
+            extras.emplace_back("reason." + spectra::to_string(reason),
+                                double(v->quarantined_for(reason)));
+          }
+          return extras;
+        },
+        this);
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    engine_data_.push_back(make_named_channel<DataTuple>(
+        "chan.split->pca-" + std::to_string(i), config.channel_capacity));
+  }
+  // The fused split's in-edge keeps the registry row and fault hook of the
+  // queue it replaced.
+  split_ = std::make_shared<stream::SplitRouter>(engine_data_, config.split);
+  split_->set_gate(gate_.get());
+  const std::string split_edge =
+      std::string(config.transport.enabled ? "chan.downlink->"
+                                           : "chan.source->") +
+      (config.validate_ingest ? "validate" : "split");
+  split_->set_fault_hook(fault_hook(split_edge));
+  registry_.add_queue_gauges(split_edge, &split_->edge_gauges(), this);
+  registry_.add_operator("split", &split_->metrics(), {}, this);
+
+  // Without a transport the source drives the split itself; with one it
+  // feeds the uplink, and the downlink drives the split.
+  stream::DataEdge source_out = split_;
+  if (config.transport.enabled) {
+    uplink_in_ = make_named_channel<DataTuple>("chan.source->uplink",
+                                               config.channel_capacity);
+    source_out = uplink_in_;
+  }
   if (generator_) {
-    auto* src = graph_.add<stream::GeneratorSource>(
+    source_ = graph_.add<stream::GeneratorSource>(
         "source", std::move(generator_), source_out, config.source_rate);
-    src->set_arena(arena_.get());
-    source_ = src;
   } else {
-    auto* src = graph_.add<stream::ReplaySource>(
+    source_ = graph_.add<stream::ReplaySource>(
         "source", std::move(replay_data_), std::move(replay_masks_),
         source_out, config.source_rate);
-    src->set_arena(arena_.get());
-    source_ = src;
   }
+  source_->set_arena(arena_.get());
   // The source also reports the arena's occupancy gauges: a steady `grown`
   // rate here means the pool is undersized (or slabs leak out of the
   // recycle loop, e.g. via collected outliers).
@@ -218,8 +252,6 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     // its constructor, the server's run loop polls until it appears.  The
     // slot geometry is raised to fit a dim-sized tuple frame so the
     // default options never silently truncate.
-    transport_out_ = make_named_channel<DataTuple>(
-        "chan.downlink->" + ingest_stage, config.channel_capacity);
     stream::ShmTransportOptions shm_opts = config.transport.shm;
     if (config.pca.dim > 0) {
       const std::size_t d = config.pca.dim;
@@ -232,57 +264,30 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     }
     std::string segment = config.transport.shm_segment;
     if (segment.empty()) segment = auto_shm_segment();
-    auto* server = graph_.add<stream::ShmTupleServer>(
-        "downlink", segment, transport_out_, shm_opts);
+    auto* server = graph_.add<stream::ShmTupleServer>("downlink", segment,
+                                                      split_, shm_opts);
     server->set_arena(arena_.get());
     auto* sink = graph_.add<stream::ShmTupleSink>("uplink", segment,
-                                                  source_out, shm_opts);
+                                                  uplink_in_, shm_opts);
     sink->set_arena(arena_.get());
     add_transport(sink, server);
   } else if (config.transport.enabled) {
-    transport_out_ = make_named_channel<DataTuple>(
-        "chan.downlink->" + ingest_stage, config.channel_capacity);
     stream::TcpServerOptions server_opts;
     server_opts.ack_every = config.transport.ack_every;
     server_opts.exit_on_bye = true;
     auto* server = graph_.add<stream::TcpTupleServer>(
-        "downlink", config.transport.port, transport_out_,
+        "downlink", config.transport.port, split_,
         /*max_connections=*/0, server_opts);
     auto* sink = graph_.add<stream::TcpTupleSink>(
-        "uplink", server->port(), source_out, config.transport.tcp);
+        "uplink", server->port(), uplink_in_, config.transport.tcp);
     add_transport(sink, server);
   }
 
-  const stream::ChannelPtr<DataTuple> split_in =
-      config.transport.enabled ? transport_out_ : source_out;
   if (config.validate_ingest) {
-    dead_letter_channel_ = make_named_channel<stream::DeadLetter>(
-        "chan.validate->dlq", config.dead_letter_capacity);
     // Transport CRC rejects share the ingest quarantine: a frame damaged on
     // the wire lands in the same dead-letter stream as a tuple damaged at
     // the telescope.
     if (downlink_ != nullptr) downlink_->set_dead_letters(dead_letter_channel_);
-    spectra::ValidationPolicy policy = config.validation;
-    if (policy.expected_dim == 0) policy.expected_dim = config.pca.dim;
-    gate_ = std::make_unique<stream::IngestGate>(dead_letter_channel_, policy,
-                                                 arena_.get());
-    registry_.add_operator(
-        "validate", &gate_->metrics(),
-        [v = gate_.get()] {
-          std::vector<std::pair<std::string, double>> extras{
-              {"accepted", double(v->accepted())},
-              {"quarantined", double(v->quarantined())},
-              {"repaired", double(v->repaired())},
-              {"repaired_pixels", double(v->repaired_pixels())},
-              {"dlq_overflow", double(v->dlq_overflow())}};
-          for (int r = 1; r < int(spectra::RejectReason::kCount); ++r) {
-            const auto reason = spectra::RejectReason(r);
-            extras.emplace_back("reason." + spectra::to_string(reason),
-                                double(v->quarantined_for(reason)));
-          }
-          return extras;
-        },
-        this);
     dead_letter_sink_ = graph_.add<stream::DeadLetterSink>(
         "dead-letter", dead_letter_channel_, config.dead_letter_retained);
     registry_.add_operator(
@@ -293,17 +298,6 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
         },
         this);
   }
-
-  std::vector<stream::ChannelPtr<DataTuple>> engine_data;
-  for (std::size_t i = 0; i < n; ++i) {
-    engine_data.push_back(make_named_channel<DataTuple>(
-        "chan.split->pca-" + std::to_string(i), config.channel_capacity));
-  }
-  split_ = graph_.add<stream::SplitOperator>("split", split_in, engine_data,
-                                             config.split);
-  split_->set_gate(gate_.get());
-  engine_data_ = engine_data;  // stop() must be able to unblock the splitter
-  registry_.add_operator("split", &split_->metrics(), {}, this);
 
   // Control plane.  Even with sync disabled the engines need control ports
   // (they exit when both planes close), so the channels always exist.
@@ -339,7 +333,7 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     // Each engine needs a decorrelated init: seed nothing (deterministic
     // PCA), the random split already decorrelates partitions.
     auto* engine = graph_.add<sync::PcaEngineOperator>(
-        "pca-" + std::to_string(i), int(i), config.pca, engine_data[i],
+        "pca-" + std::to_string(i), int(i), config.pca, engine_data_[i],
         engine_control[i], exchange_, engine_control, policy,
         outlier_channel_, std::move(fault_opts), config.batch_max);
     engine->set_arena(arena_.get());
@@ -352,8 +346,14 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
               engine->batch_size_histogram().snapshot();
           const stream::HistogramSnapshot hold =
               engine->state_lock_hold_histogram().snapshot();
+          const stream::HistogramSnapshot lag =
+              engine->ingest_to_apply_histogram().snapshot();
+          // A sink's throughput (tuples_out) reads 0; this is its rate.
+          const double active_s = engine->metrics().active_seconds();
           return std::vector<std::pair<std::string, double>>{
               {"data_tuples", double(s.tuples)},
+              {"applied_tps", active_s > 0.0 ? double(s.tuples) / active_s
+                                             : 0.0},
               {"outliers", double(s.outliers)},
               {"control_in", double(s.control_in)},
               {"syncs_sent", double(s.syncs_sent)},
@@ -382,14 +382,19 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
               {"lock_holds", double(hold.total)},
               {"lock_hold_ns_p50", hold.p50()},
               {"lock_hold_ns_p95", hold.p95()},
-              {"lock_hold_ns_max", double(hold.max)}};
+              {"lock_hold_ns_max", double(hold.max)},
+              {"ingest_to_apply_us_count", double(lag.total)},
+              {"ingest_to_apply_us_min", double(lag.min)},
+              {"ingest_to_apply_us_p50", lag.p50()},
+              {"ingest_to_apply_us_p99", lag.percentile(0.99)},
+              {"ingest_to_apply_us_max", double(lag.max)}};
         },
         this);
   }
 
   if (config.supervise) {
     supervisor_ = std::make_unique<sync::Supervisor>(
-        "supervisor", engines_, engine_data, engine_control,
+        "supervisor", engines_, engine_data_, engine_control,
         config.supervisor);
     registry_.add_operator(
         "supervisor", &supervisor_->metrics(),
@@ -504,9 +509,11 @@ void StreamingPcaPipeline::start() {
 }
 
 void StreamingPcaPipeline::wait() {
-  // Natural completion order: source drains, split fans out and closes the
-  // engine data ports.  Engines keep serving control traffic until the sync
-  // subsystem is shut down, so stop it once the data plane has finished.
+  // Natural completion order: the split's producer — the source, or the
+  // downlink behind a transport — routes its last tuple and closes the
+  // engine data ports and the DLQ.  Engines keep serving control traffic
+  // until the sync subsystem is shut down, so stop it once the data plane
+  // has finished.
   source_->join();
   if (uplink_ != nullptr) {
     // The sink flushes (waits for the receiver to confirm, or counts what
@@ -518,7 +525,6 @@ void StreamingPcaPipeline::wait() {
     downlink_->request_stop();
     downlink_->join();
   }
-  split_->join();
   // The controller wakes from its pacing wait and closes the control ports.
   if (controller_ != nullptr) controller_->request_stop();
   // The supervisor exits once every engine reaches kCompleted; joining it
@@ -543,19 +549,19 @@ void StreamingPcaPipeline::stop() {
   graph_.stop();
   // FlowGraph::stop only raises flags; a producer parked inside a blocking
   // push never rechecks them.  Close the channels such a producer could be
-  // stuck on: the source's output (the splitter exits without draining it,
-  // so nothing else would ever wake the source) and the shared outlier
-  // stream (its sink likewise exits on the flag alone).
-  if (source_out_) source_out_->close();
-  if (transport_out_) transport_out_->close();
+  // stuck on: the source -> uplink queue (the uplink exits without
+  // draining it) and the shared outlier stream (its sink likewise exits on
+  // the flag alone).
+  if (uplink_in_) uplink_in_->close();
   if (outlier_channel_) outlier_channel_->close();
   // The engine data ports too: engines exit on their stop flags *without*
-  // draining, so a splitter parked in its blocking-push fallback on a full
-  // port would otherwise never wake (the splitter treats a closed-port
-  // push as a drop and moves on).
+  // draining, so the split's producer (source or downlink) parked in the
+  // blocking-push fallback on a full port would otherwise never wake.  The
+  // split counts the closed-port push as a drop, and the producer sees its
+  // stop flag before the next tuple.
   for (auto& port : engine_data_) port->close();
   // The supervisor is not in the graph; its stop path also closes and
-  // drains the ports of any still-crashed engine so the splitter cannot
+  // drains the ports of any still-crashed engine so the producer cannot
   // stay blocked on a consumer that will never return.
   if (supervisor_) supervisor_->request_stop();
 }

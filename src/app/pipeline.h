@@ -2,15 +2,17 @@
 
 // StreamingPcaPipeline — the paper's Figure 2 analysis graph, assembled:
 //
-//   source ─> split ─┬─> PCA engine 0 ─┐
-//            (+gate) ├─> PCA engine 1 ─┼─ StateExchange (sync merges)
-//                    └─> PCA engine n ─┘
+//   source ═ split ─┬─> PCA engine 0 ─┐
+//           (+gate) ├─> PCA engine 1 ─┼─ StateExchange (sync merges)
+//                   └─> PCA engine n ─┘
 //   sync controller ─> engines (control ports; paced at sync_rate_hz)
 //
-// plus an optional outlier stream collecting the observations the robust
-// weighting rejected.  One call builds the graph; run() blocks until the
-// source is exhausted, every engine drained its partition, and the final
-// merged eigensystem is available from result().
+// The split and its ingest gate run fused on the source's thread (the
+// downlink's behind a transport).  Plus an optional outlier stream
+// collecting the observations the robust weighting rejected.  One call
+// builds the graph; run() blocks until the source is exhausted, every
+// engine drained its partition, and the final merged eigensystem is
+// available from result().
 
 #include <memory>
 #include <optional>
@@ -97,8 +99,8 @@ struct PipelineConfig {
   /// the sync controller degrades to the surviving engines meanwhile.
   bool supervise = false;
   sync::SupervisorConfig supervisor;
-  /// Runs an IngestGate inside the split stage: every tuple is checked
-  /// (and possibly repaired) against `validation` on the split's thread
+  /// Runs an IngestGate inside the fused split: every tuple is checked
+  /// (and possibly repaired) against `validation` on the producing thread
   /// before it is routed to an engine; rejects flow to a bounded
   /// dead-letter queue with a typed reason.  No extra thread or queue.
   /// Conservation: accepted + quarantined == ingested.
@@ -132,10 +134,11 @@ struct PipelineConfig {
   /// Multi-process data plane (DESIGN.md "Transport").  When enabled, the
   /// stage boundary between the source and the split stage is
   /// placed behind the resilient session transport — either leg carries
-  /// the same CRC-framed session protocol:
+  /// the same CRC-framed session protocol, and the server runs the fused
+  /// split on its receive thread:
   ///
-  ///   kind = kTcp:  source -> TcpTupleSink ==TCP==> TcpTupleServer -> ...
-  ///   kind = kShm:  source -> ShmTupleSink ==ring==> ShmTupleServer -> ...
+  ///   kind = kTcp:  source -> TcpTupleSink ==TCP==> TcpTupleServer = split
+  ///   kind = kShm:  source -> ShmTupleSink ==ring==> ShmTupleServer = split
   ///
   /// In one process the TCP leg is a loopback socket pair and the shm leg
   /// a process-private ring segment, both exercising the real wire path
@@ -286,16 +289,22 @@ class StreamingPcaPipeline {
   /// Records the transport endpoints and registers their counters.
   template <typename Sink, typename Server>
   void add_transport(Sink* sink, Server* server);
+  /// The fault schedule's hook for the edge `name` (empty when the
+  /// schedule does not name it).
+  stream::FaultEdge::Hook fault_hook(const std::string& name) const {
+    if (!config_.fault_injector ||
+        !config_.fault_injector->watches_channel(name)) {
+      return {};
+    }
+    return [inj = config_.fault_injector, name](std::uint64_t attempt) {
+      return inj->on_push(name, attempt);
+    };
+  }
   template <typename T>
   stream::ChannelPtr<T> make_named_channel(const std::string& name,
                                            std::size_t capacity) {
     auto ch = stream::make_channel<T>(capacity);
-    if (config_.fault_injector && config_.fault_injector->watches_channel(name)) {
-      ch->set_fault_hook(
-          [inj = config_.fault_injector, name](std::uint64_t attempt) {
-            return inj->on_push(name, attempt);
-          });
-    }
+    ch->set_fault_hook(fault_hook(name));
     registry_.add_queue(name, *ch, this);
     channels_.push_back(ch);  // keep gauges alive as long as the registry
     return ch;
@@ -314,18 +323,19 @@ class StreamingPcaPipeline {
   // destroyed after the graph joins and destroys the publisher.
   std::unique_ptr<serve::SnapshotServer> serve_server_;
   // Declared before graph_ for the same reason: the split runs the ingest
-  // gate on its thread through a non-owning pointer.
+  // gate on its producer's thread through a non-owning pointer.
   std::unique_ptr<stream::IngestGate> gate_;
+  // The fused split; its producer (source or downlink) shares ownership.
+  std::shared_ptr<stream::SplitRouter> split_;
   stream::FlowGraph graph_;
-  stream::Operator* source_ = nullptr;
-  stream::ChannelPtr<stream::DataTuple> source_out_;
-  // Transport endpoints of either carrier (nullptr without transport).
+  stream::Source* source_ = nullptr;
+  // Transport endpoints of either carrier and the source's queue to the
+  // uplink (all null without transport).
   stream::SessionSink* uplink_ = nullptr;
   stream::SessionServer* downlink_ = nullptr;
-  stream::ChannelPtr<stream::DataTuple> transport_out_;
+  stream::ChannelPtr<stream::DataTuple> uplink_in_;
   stream::DeadLetterSink* dead_letter_sink_ = nullptr;
   stream::ChannelPtr<stream::DeadLetter> dead_letter_channel_;
-  stream::SplitOperator* split_ = nullptr;
   sync::SyncController* controller_ = nullptr;
   std::vector<sync::PcaEngineOperator*> engines_;
   std::vector<stream::ChannelPtr<stream::DataTuple>> engine_data_;

@@ -3,8 +3,9 @@
 // IngestGate — the data-plane gatekeeper (DESIGN.md "Data-plane
 // robustness").
 //
-// The split calls admit() on its own thread for every tuple before routing
-// it (operator fusion: no thread hop, no queue).  Accepted tuples go on,
+// The fused split calls admit() for every tuple before routing it, on the
+// thread that produced the tuple — the source, or the transport downlink
+// (operator fusion: no thread hop, no queue).  Accepted tuples go on,
 // possibly repaired in place; rejects go to the dead-letter channel with
 // their typed reason.  accepted + quarantined == tuples_in, always.  The
 // accept path is allocation-free, and the DLQ push never blocks: a full
@@ -40,7 +41,7 @@ class IngestGate {
   /// Starts the gate's active window, on the admitting thread.
   void open() noexcept { metrics_.mark_start(); }
   /// Ends the window and closes the dead-letter channel, after the last
-  /// admit(): the admitting stage is the DLQ's last producer.
+  /// admit(): the admitting thread is the DLQ's last producer.
   void close();
 
   // --- live counters (any thread) ----------------------------------------

@@ -61,8 +61,7 @@ void set_nonblocking(int fd) {
 // ---------------------------------------------------------------------------
 
 TcpTupleServer::TcpTupleServer(std::string name, std::uint16_t port,
-                               ChannelPtr<DataTuple> out,
-                               std::size_t max_connections,
+                               DataEdge out, std::size_t max_connections,
                                TcpServerOptions options)
     : SessionServer(std::move(name), std::move(out)),
       max_connections_(max_connections),

@@ -101,7 +101,7 @@ class TcpTupleServer final : public SessionServer {
   /// before the source closes (0 = until stopped or a kBye arrives with
   /// options.exit_on_bye).
   TcpTupleServer(std::string name, std::uint16_t port,
-                 ChannelPtr<DataTuple> out, std::size_t max_connections = 1,
+                 DataEdge out, std::size_t max_connections = 1,
                  TcpServerOptions options = {});
   ~TcpTupleServer() override;
 

@@ -28,6 +28,11 @@
 // metrics sampler can observe "the data channels traffic" (paper §III-D)
 // without touching the queue lock: gauges are relaxed atomics updated
 // while the mutex is held.
+//
+// Fault injection belongs to the graph edge: a queue consults its
+// FaultEdge at the top of push/try_push, the fused split (stream/split.h)
+// at the top of route(), so a seeded schedule fires on the same attempts
+// on either kind of edge.
 
 #include <atomic>
 #include <chrono>
@@ -77,6 +82,55 @@ struct QueueGauges {
   LatencyHistogram pop_blocked_ns;   ///< consumer wait durations
 };
 
+/// One graph edge's fault hook, its push-attempt numbering, and the
+/// faulted/delayed/corrupted gauges it bumps in the edge's QueueGauges.
+class FaultEdge {
+ public:
+  /// Decides the fate of one push attempt (1-based index).
+  using Hook = std::function<FaultDecision(std::uint64_t attempt)>;
+
+  explicit FaultEdge(QueueGauges& gauges) noexcept : gauges_(gauges) {}
+
+  /// Install before any producer starts; a FaultInjector-backed hook makes
+  /// the edge a lossy/slow simulated link.  Attempt indices are
+  /// deterministic for single-producer edges.
+  void set_hook(Hook hook) { hook_ = std::move(hook); }
+
+  /// Applies the hook's decision for one push attempt to `item`: corrupt
+  /// it in place, or hold the caller when `may_delay` (a non-blocking push
+  /// cannot be held).  False = an injected drop swallowed the attempt; the
+  /// producer still believes it sent the item, as on a lossy link.
+  template <typename T>
+  bool pass(T& item, bool may_delay) {
+    if (!hook_) return true;
+    const FaultDecision fault =
+        hook_(attempts_.fetch_add(1, std::memory_order_relaxed) + 1);
+    switch (fault.action) {
+      case FaultAction::kDrop:
+        gauges_.faulted.fetch_add(1, std::memory_order_relaxed);
+        return false;
+      case FaultAction::kDelay:
+        if (may_delay) {
+          gauges_.delayed.fetch_add(1, std::memory_order_relaxed);
+          std::this_thread::sleep_for(fault.delay);
+        }
+        break;
+      case FaultAction::kCorrupt:
+        apply_corruption(item, fault);
+        gauges_.corrupted.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case FaultAction::kNone:
+        break;
+    }
+    return true;
+  }
+
+ private:
+  QueueGauges& gauges_;
+  Hook hook_;
+  std::atomic<std::uint64_t> attempts_{0};
+};
+
 template <typename T>
 class BoundedQueue {
  public:
@@ -88,35 +142,16 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Decides the fate of one push attempt (1-based index).  Install before
-  /// any producer starts; a FaultInjector-backed hook makes this channel a
-  /// lossy/slow simulated link.  Attempt indices are deterministic for
-  /// single-producer channels.
-  using FaultHook = std::function<FaultDecision(std::uint64_t attempt)>;
-
-  void set_fault_hook(FaultHook hook) {
-    std::lock_guard lock(mutex_);
-    fault_hook_ = std::move(hook);
-    has_fault_hook_.store(bool(fault_hook_), std::memory_order_release);
+  /// This edge's fault hook (see FaultEdge::set_hook).
+  void set_fault_hook(FaultEdge::Hook hook) {
+    fault_.set_hook(std::move(hook));
   }
 
   /// Blocks while full.  Returns false (drops the tuple) once closed.
   /// An injected kDrop fault swallows the tuple but still returns true —
   /// the producer believes the send succeeded, as on a lossy link.
   bool push(T item) {
-    const FaultDecision fault = consult_fault_hook();
-    if (fault.action == FaultAction::kDrop) {
-      gauges_.faulted.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    if (fault.action == FaultAction::kDelay) {
-      gauges_.delayed.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(fault.delay);
-    }
-    if (fault.action == FaultAction::kCorrupt) {
-      apply_corruption(item, fault);
-      gauges_.corrupted.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (!fault_.pass(item, /*may_delay=*/true)) return true;
     std::unique_lock lock(mutex_);
     if (count_ >= capacity_ && !closed_) {
       gauges_.push_blocked.fetch_add(1, std::memory_order_relaxed);
@@ -141,16 +176,9 @@ class BoundedQueue {
   /// semantics); injected delays are ignored — a non-blocking push cannot
   /// be held.
   bool try_push(T& item) {
-    const FaultDecision fault = consult_fault_hook();
-    if (fault.action == FaultAction::kDrop) {
-      gauges_.faulted.fetch_add(1, std::memory_order_relaxed);
-      T swallowed = std::move(item);
-      (void)swallowed;
+    if (!fault_.pass(item, /*may_delay=*/false)) {
+      T swallowed = std::move(item);  // consumed, as a real send would be
       return true;
-    }
-    if (fault.action == FaultAction::kCorrupt) {
-      apply_corruption(item, fault);
-      gauges_.corrupted.fetch_add(1, std::memory_order_relaxed);
     }
     {
       std::lock_guard lock(mutex_);
@@ -278,24 +306,6 @@ class BoundedQueue {
   [[nodiscard]] const QueueGauges& gauges() const noexcept { return gauges_; }
 
  private:
-  // Without a hook this is one atomic load, so a push locks once, not
-  // twice.  With one, takes the lock only to read the hook and claim an
-  // attempt index, then calls the hook outside it (the hook locks the
-  // injector's own mutex; no nesting).  The decision depends only on the
-  // attempt index, so the unlocked call cannot change the outcome.
-  FaultDecision consult_fault_hook() {
-    if (!has_fault_hook_.load(std::memory_order_acquire)) return {};
-    FaultHook hook;
-    std::uint64_t attempt = 0;
-    {
-      std::lock_guard lock(mutex_);
-      if (!fault_hook_) return {};
-      attempt = ++push_attempts_;
-      hook = fault_hook_;
-    }
-    return hook(attempt);
-  }
-
   static std::uint64_t elapsed_ns(
       std::chrono::steady_clock::time_point t0) noexcept {
     return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -343,10 +353,7 @@ class BoundedQueue {
   std::size_t count_ = 0;    // live items
   bool closed_ = false;
   QueueGauges gauges_;
-  FaultHook fault_hook_;
-  // Set (before any producer starts) when fault_hook_ is installed.
-  std::atomic<bool> has_fault_hook_{false};
-  std::uint64_t push_attempts_ = 0;  // guarded by mutex_
+  FaultEdge fault_{gauges_};  // consulted before the lock is taken
 };
 
 }  // namespace astro::stream

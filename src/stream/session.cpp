@@ -83,9 +83,10 @@ SessionSinkCounters SessionSink::session_counters() const noexcept {
 // ---------------------------------------------------------------------------
 
 void SessionServer::run() {
+  out_.open();
   const StopReason reason = serve();
   if (arena_) arena_->release(staging_);
-  out_->close();  // downstream drains what was delivered, then exits
+  out_.close();  // downstream drains what was delivered, then exits
   set_stop_reason(stop_requested() ? StopReason::kRequested : reason);
 }
 
@@ -114,7 +115,7 @@ SessionServer::Verdict SessionServer::judge(
     return Verdict::kRejected;
   }
   const std::size_t bytes = staging_.wire_bytes();
-  if (!out_->push(std::move(staging_))) return Verdict::kClosed;
+  if (!out_.push(std::move(staging_))) return Verdict::kClosed;
   delivered_.fetch_add(1, std::memory_order_relaxed);
   metrics_.record_out(bytes);
   return Verdict::kDelivered;

@@ -17,7 +17,9 @@
 //     at the applied watermark, so a receiver crash replays exactly the
 //     suffix it never durably applied.  Each judged frame counts once in
 //     metrics().tuples_in() and lands in exactly one of tuples_out(),
-//     dropped(), duplicates or (TCP only) out_of_order.
+//     dropped(), duplicates or (TCP only) out_of_order.  The server's
+//     output is a DataEdge: in a pipeline it is the fused split, so the
+//     delivery validates and routes each tuple on the receive thread.
 
 #include <atomic>
 #include <cstdint>
@@ -28,6 +30,7 @@
 #include "io/frame.h"
 #include "stream/dead_letter.h"
 #include "stream/operator.h"
+#include "stream/split.h"
 #include "stream/tuple_arena.h"
 
 namespace astro::stream {
@@ -130,7 +133,7 @@ class SessionServer : public Operator {
   }
 
  protected:
-  SessionServer(std::string name, ChannelPtr<DataTuple> out)
+  SessionServer(std::string name, DataEdge out)
       : Operator(std::move(name)), out_(std::move(out)) {}
 
   void run() final;
@@ -177,7 +180,7 @@ class SessionServer : public Operator {
   std::atomic<std::uint64_t> byes_{0};
 
  private:
-  ChannelPtr<DataTuple> out_;
+  DataEdge out_;
   DataTuple staging_;  // recycled decode target
   ChannelPtr<DeadLetter> dlq_;
   std::function<std::uint64_t()> resume_point_;

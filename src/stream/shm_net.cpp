@@ -187,8 +187,7 @@ ShmSinkCounters ShmTupleSink::counters() const noexcept {
 // ---------------------------------------------------------------------------
 
 ShmTupleServer::ShmTupleServer(std::string name, std::string segment,
-                               ChannelPtr<DataTuple> out,
-                               ShmTransportOptions options)
+                               DataEdge out, ShmTransportOptions options)
     : SessionServer(std::move(name), std::move(out)),
       segment_name_(std::move(segment)),
       options_(options) {}

@@ -136,7 +136,7 @@ class ShmTupleSink final : public SessionSink {
 class ShmTupleServer final : public SessionServer {
  public:
   ShmTupleServer(std::string name, std::string segment,
-                 ChannelPtr<DataTuple> out, ShmTransportOptions options = {});
+                 DataEdge out, ShmTransportOptions options = {});
   ~ShmTupleServer() override;
 
   /// Wires the zero-alloc decode path: each delivered tuple's payload is

@@ -480,6 +480,15 @@ void PcaEngineOperator::run_loop() {
       ScopedHoldTimer hold(state_lock_hold_ns_);
       apply_batch_locked();
     }
+    // Same clock as the source's timestamp_us (steady_clock, in us).
+    const std::int64_t applied_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    for (const DataTuple& t : batch_) {
+      const std::int64_t lag_us = applied_us - t.timestamp_us;
+      ingest_to_apply_us_.record(lag_us > 0 ? std::uint64_t(lag_us) : 0);
+    }
     // Amortized per-tuple update cost — the paper's O(d p²) incremental
     // step, divided by the batch the one SVD absorbed.  One sample per
     // tuple (not per batch) keeps the proc-time histogram's weighting

@@ -153,6 +153,15 @@ class PcaEngineOperator final : public stream::Operator {
     return state_lock_hold_ns_;
   }
 
+  /// Ingest -> apply latency in microseconds: one sample per tuple the
+  /// run loop applies (recovery replay excluded), `now - timestamp_us`
+  /// read on std::chrono::steady_clock, the clock the sources stamp with.
+  /// Wait-free to read.
+  [[nodiscard]] const stream::LatencyHistogram& ingest_to_apply_histogram()
+      const noexcept {
+    return ingest_to_apply_us_;
+  }
+
   /// Wires the payload arena (may be null = heap payloads).  The engine
   /// releases batch payloads back after applying them — including on the
   /// structural-drop and crash-unwinding paths — so leased slabs recycle
@@ -228,6 +237,7 @@ class PcaEngineOperator final : public stream::Operator {
   std::vector<pca::ObservationReport> batch_reports_; // one per batch tuple
   stream::LatencyHistogram batch_hist_;
   stream::LatencyHistogram state_lock_hold_ns_;  // per-acquisition hold time
+  stream::LatencyHistogram ingest_to_apply_us_;
 
   mutable std::mutex state_mutex_;  // guards pca_ for snapshot()
   std::uint64_t since_last_sync_ = 0;

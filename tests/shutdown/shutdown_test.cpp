@@ -22,6 +22,8 @@
 #include "stats/rng.h"
 #include "stream/net.h"
 #include "stream/shm_net.h"
+#include "stream/source.h"
+#include "stream/split.h"
 #include "sync/controller.h"
 #include "tests/pca/test_data.h"
 
@@ -246,6 +248,70 @@ TEST(ShutdownShmServer, StopsWhileWaitingForTheSegment) {
   EXPECT_LT(took, kStopBound) << "stop took " << ms(took) << " ms";
   EXPECT_EQ(server.stop_reason(), stream::StopReason::kRequested);
   EXPECT_TRUE(out->closed());
+}
+
+// The fused split runs on its producer's thread, so with a stalled engine
+// the producer itself parks in the split's blocking push on the full
+// engine port.  StreamingPcaPipeline::stop() raises the stop flags and
+// closes the engine ports; the tests below do the same on the producer.
+
+TEST(ShutdownFusedSplit, SourceParkedOnAFullEngineQueueStops) {
+  auto port = stream::make_channel<stream::DataTuple>(4);  // never popped
+  auto split = std::make_shared<stream::SplitRouter>(
+      std::vector<stream::ChannelPtr<stream::DataTuple>>{port});
+  stream::GeneratorSource source(
+      "source",
+      stream::GeneratorSource::Generator(
+          []() -> std::optional<linalg::Vector> {
+            return linalg::Vector(4, 1.0);
+          }),
+      split);
+  source.start();
+  ASSERT_TRUE(poll_until([&] { return port->gauges().push_blocked > 0; }));
+  std::this_thread::sleep_for(20ms);
+
+  const auto t0 = Clock::now();
+  source.request_stop();
+  port->close();
+  source.join();
+  const auto took = Clock::now() - t0;
+  EXPECT_LT(took, kStopBound) << "stop took " << ms(took) << " ms";
+  EXPECT_EQ(source.stop_reason(), stream::StopReason::kRequested);
+  // The parked tuple was refused by the closed port and counted.
+  EXPECT_EQ(split->metrics().dropped(), 1u);
+  EXPECT_EQ(split->metrics().tuples_out(), 4u);
+}
+
+TEST(ShutdownFusedSplit, TcpDownlinkParkedOnAFullEngineQueueStops) {
+  auto port = stream::make_channel<stream::DataTuple>(4);  // never popped
+  auto split = std::make_shared<stream::SplitRouter>(
+      std::vector<stream::ChannelPtr<stream::DataTuple>>{port});
+  stream::TcpTupleServer server("downlink", 0, split,
+                                /*max_connections=*/0);
+  auto in = stream::make_channel<stream::DataTuple>(64);
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    stream::DataTuple t;
+    t.seq = i;
+    t.values = linalg::Vector(4, 1.0);
+    ASSERT_TRUE(in->push(std::move(t)));
+  }
+  stream::TcpTupleSink sink("uplink", server.port(), in);
+  server.start();
+  sink.start();
+  ASSERT_TRUE(poll_until([&] { return port->gauges().push_blocked > 0; }));
+  std::this_thread::sleep_for(20ms);
+
+  const auto t0 = Clock::now();
+  server.request_stop();
+  port->close();
+  server.join();
+  const auto took = Clock::now() - t0;
+  EXPECT_LT(took, kStopBound) << "stop took " << ms(took) << " ms";
+  EXPECT_EQ(server.stop_reason(), stream::StopReason::kRequested);
+  EXPECT_GE(split->metrics().dropped(), 1u);
+  in->close();
+  sink.request_stop();
+  sink.join();
 }
 
 TEST(ShutdownValidate, StopMidStreamWithValidationJoinsPromptly) {

@@ -242,5 +242,89 @@ TEST(PipelineStress, MetricsJsonConservationInvariants) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The payload arena's default size counts only the data channels that
+// exist: the engine ports (the fused split's in-edge buffers nothing).  A
+// full run with every port filling must never grow the pool.
+
+TEST(PipelineStress, DefaultArenaNeverGrowsOverAFullRun) {
+  PipelineConfig cfg;
+  cfg.pca.dim = 12;
+  cfg.pca.rank = 2;
+  cfg.engines = 4;
+  cfg.batch_max = 8;
+  cfg.channel_capacity = 16;
+  cfg.sync_rate_hz = 50.0;
+  cfg.independence_fallback = 200;
+  cfg.validate_ingest = true;
+  StreamingPcaPipeline p(cfg, make_data(20000, 941));
+  p.run();
+
+  const JsonValue root = JsonParser::parse(p.metrics_json());
+  const JsonValue& source = index_by_name(root.at("operators")).at("source")
+                                ->at("extras");
+  // 4 ports x 16 + 4 x (8 + 4) staging + 64 slack.
+  EXPECT_EQ(source.num("arena_preallocated"), 176.0);
+  EXPECT_EQ(source.num("arena_grown"), 0.0);
+  std::uint64_t applied = 0;
+  for (const auto& s : p.engine_stats()) applied += s.tuples;
+  EXPECT_EQ(applied, 20000u);
+}
+
+// ---------------------------------------------------------------------------
+// Engine rows: the ingest -> apply latency histogram and the applied rate.
+
+/// A paced 2-engine run (sync off, so each engine exits at its last apply)
+/// and its operators indexed by name.
+std::map<std::string, JsonValue> run_paced_engines(StreamingPcaPipeline& p) {
+  p.run();
+  std::map<std::string, JsonValue> out;
+  const JsonValue root = JsonParser::parse(p.metrics_json());
+  for (const JsonValue& op : root.at("operators").array) {
+    out[op.str("name")] = op;
+  }
+  return out;
+}
+
+PipelineConfig paced_config() {
+  PipelineConfig cfg;
+  cfg.pca.dim = 12;
+  cfg.pca.rank = 2;
+  cfg.engines = 2;
+  cfg.sync_rate_hz = 0.0;
+  cfg.source_rate = 10000.0;  // 4000 tuples over ~0.4 s
+  return cfg;
+}
+
+TEST(PipelineStress, EnginesRecordIngestToApplyLatency) {
+  StreamingPcaPipeline p(paced_config(), make_data(4000, 947));
+  const auto ops = run_paced_engines(p);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const JsonValue& x = ops.at("pca-" + std::to_string(i)).at("extras");
+    // One sample per applied tuple.
+    EXPECT_EQ(x.num("ingest_to_apply_us_count"), x.num("data_tuples"));
+    EXPECT_GT(x.num("data_tuples"), 0.0);
+    EXPECT_LE(x.num("ingest_to_apply_us_min"), x.num("ingest_to_apply_us_p50"));
+    EXPECT_LE(x.num("ingest_to_apply_us_p50"), x.num("ingest_to_apply_us_max"));
+    // Same clock on both ends: a lag is never negative, and far below an
+    // hour on a paced stream.
+    EXPECT_LT(x.num("ingest_to_apply_us_max"), 3600e6);
+  }
+}
+
+TEST(PipelineStress, EngineRowsReportAppliedRate) {
+  StreamingPcaPipeline p(paced_config(), make_data(4000, 953));
+  const auto ops = run_paced_engines(p);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const JsonValue& e = ops.at("pca-" + std::to_string(i));
+    const double applied = e.at("extras").num("data_tuples");
+    const double rate = e.at("extras").num("applied_tps");
+    const double plain = applied / e.num("elapsed_seconds");
+    EXPECT_EQ(e.num("throughput"), 0.0);  // a sink emits nothing
+    EXPECT_GT(rate, 0.0);
+    EXPECT_NEAR(rate, plain, 0.1 * plain);
+  }
+}
+
 }  // namespace
 }  // namespace astro::app

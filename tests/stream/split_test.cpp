@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <numeric>
 #include <thread>
 
+#include "stream/fault.h"
 #include "stream/graph.h"
 #include "stream/sink.h"
 #include "stream/source.h"
@@ -22,25 +25,25 @@ std::vector<linalg::Vector> tiny_data(std::size_t n, std::size_t d = 4) {
   return out;
 }
 
-/// Source -> split -> one collector per output.  The consumers live in a
-/// graph of their own so a test can choose whether they drain while the
-/// split routes (run) or only after it has routed the whole stream
+/// Source = split -> one collector per output: the split is fused into the
+/// source and routes on its thread.  The consumers live in a graph of
+/// their own so a test can choose whether they drain while the split
+/// routes (run) or only after it has routed the whole stream
 /// (run_then_drain).
 struct SplitHarness {
   FlowGraph graph;
   FlowGraph consumers;
-  SplitOperator* split = nullptr;
+  std::shared_ptr<SplitRouter> split;
   std::vector<ChannelPtr<DataTuple>> outs;
   std::vector<CollectorSink<DataTuple>*> sinks;
 
   SplitHarness(std::size_t n_tuples, std::size_t n_outputs,
                SplitStrategy strategy, std::size_t out_capacity = 64) {
-    auto in = make_channel<DataTuple>(64);
     for (std::size_t i = 0; i < n_outputs; ++i) {
       outs.push_back(make_channel<DataTuple>(out_capacity));
     }
-    graph.add<ReplaySource>("source", tiny_data(n_tuples), in);
-    split = graph.add<SplitOperator>("split", in, outs, strategy);
+    split = std::make_shared<SplitRouter>(outs, strategy);
+    graph.add<ReplaySource>("source", tiny_data(n_tuples), split);
     for (std::size_t i = 0; i < n_outputs; ++i) {
       sinks.push_back(consumers.add<CollectorSink<DataTuple>>(
           "sink" + std::to_string(i), outs[i]));
@@ -89,10 +92,8 @@ struct SplitHarness {
 };
 
 TEST(Split, NoOutputsThrows) {
-  auto in = make_channel<DataTuple>(4);
-  EXPECT_THROW(
-      SplitOperator("s", in, std::vector<ChannelPtr<DataTuple>>{}),
-      std::invalid_argument);
+  EXPECT_THROW(SplitRouter(std::vector<ChannelPtr<DataTuple>>{}),
+               std::invalid_argument);
 }
 
 TEST(Split, AllTuplesDeliveredExactlyOnce) {
@@ -152,13 +153,11 @@ TEST(Split, RerouteDeliversEverythingExactlyOnce) {
   // Two-slot outputs and sink 0 held back until output 0 has refused a
   // push: rerouting is certain to fire, and must still deliver every tuple
   // exactly once, with the split's per-target counts matching the sinks.
-  auto in = make_channel<DataTuple>(64);
   std::vector<ChannelPtr<DataTuple>> outs;
   for (int i = 0; i < 4; ++i) outs.push_back(make_channel<DataTuple>(2));
   FlowGraph graph, late;
-  graph.add<ReplaySource>("source", tiny_data(3000), in);
-  auto* split =
-      graph.add<SplitOperator>("split", in, outs, SplitStrategy::kRandom);
+  auto split = std::make_shared<SplitRouter>(outs, SplitStrategy::kRandom);
+  graph.add<ReplaySource>("source", tiny_data(3000), split);
   std::vector<CollectorSink<DataTuple>*> sinks;
   sinks.push_back(late.add<CollectorSink<DataTuple>>("sink0", outs[0]));
   for (int i = 1; i < 4; ++i) {
@@ -202,6 +201,106 @@ TEST(Split, MetricsCountBytes) {
   h.run();
   // 4 doubles + 16-byte header per tuple.
   EXPECT_EQ(h.split->metrics().bytes_in(), 10u * (16 + 4 * 8));
+}
+
+TEST(Split, FusedEdgeFaultsFireWhereAQueueEdgeFires) {
+  // One seeded schedule (drops and corruptions) replayed on a queue edge
+  // and on the fused edge: the same attempts are dropped and damaged, and
+  // the two edges' gauges agree.
+  const auto schedule = [] {
+    auto inj = std::make_shared<FaultInjector>(5);
+    inj->drop_on_channel("edge", 7, 3);
+    inj->corrupt_on_channel("edge", 20, 2, CorruptionKind::kNaN);
+    inj->drop_randomly("edge", 0.05, 8);
+    return inj;
+  };
+  const auto hook = [](std::shared_ptr<FaultInjector> inj) {
+    return [inj](std::uint64_t attempt) {
+      return inj->on_push("edge", attempt);
+    };
+  };
+  const auto seqs_and_nan = [](BoundedQueue<DataTuple>& q) {
+    std::vector<std::pair<std::uint64_t, bool>> out;
+    while (auto t = q.try_pop()) {
+      out.emplace_back(t->seq, std::isnan(t->values[0] + t->values[1] +
+                                          t->values[2] + t->values[3]));
+    }
+    return out;
+  };
+  constexpr std::size_t kTuples = 200;
+
+  auto queue = make_channel<DataTuple>(kTuples);
+  queue->set_fault_hook(hook(schedule()));
+  auto port = make_channel<DataTuple>(kTuples);
+  SplitRouter split({port}, SplitStrategy::kRoundRobin);
+  split.set_fault_hook(hook(schedule()));
+  split.open();
+  const auto data = tiny_data(kTuples);
+  for (std::size_t i = 0; i < kTuples; ++i) {
+    DataTuple a;
+    a.seq = i;
+    a.values = data[i];
+    DataTuple b = a;
+    ASSERT_TRUE(queue->push(std::move(a)));
+    split.route(std::move(b));
+  }
+  split.close();
+
+  const QueueGauges& qg = queue->gauges();
+  const QueueGauges& fg = split.edge_gauges();
+  EXPECT_GE(qg.faulted.load(), 3u);
+  EXPECT_EQ(qg.corrupted.load(), 2u);
+  EXPECT_EQ(fg.faulted.load(), qg.faulted.load());
+  EXPECT_EQ(fg.corrupted.load(), qg.corrupted.load());
+  EXPECT_EQ(fg.pushed.load(), qg.pushed.load());
+  EXPECT_EQ(fg.pushed.load(), fg.popped.load());  // a fused edge holds none
+  EXPECT_EQ(fg.depth.load(), 0u);
+  EXPECT_EQ(fg.capacity, 0u);
+  EXPECT_EQ(seqs_and_nan(*queue), seqs_and_nan(*port));
+}
+
+TEST(Split, RouteRacingEnginePopsAndCloseLosesNothingUncounted) {
+  // The fused split's producer routes into tiny ports that consumer
+  // threads drain, while another thread closes the ports mid-stream (what
+  // StreamingPcaPipeline::stop does).  Every tuple is routed exactly once
+  // or counted dropped, and every routed tuple reaches a consumer.
+  std::vector<ChannelPtr<DataTuple>> outs;
+  for (int i = 0; i < 3; ++i) outs.push_back(make_channel<DataTuple>(4));
+  SplitRouter split(outs, SplitStrategy::kRandom);
+  std::atomic<std::uint64_t> received{0};
+  std::vector<std::thread> consumers;
+  for (auto& out : outs) {
+    consumers.emplace_back([&received, out] {
+      DataTuple t;
+      while (out->pop(t)) received.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  std::atomic<bool> stop{false};
+  std::uint64_t emitted = 0;
+  std::thread producer([&] {
+    split.open();
+    while (!stop.load(std::memory_order_relaxed)) {
+      DataTuple t;
+      t.seq = emitted++;
+      t.values = linalg::Vector(4, 1.0);
+      split.route(std::move(t));
+    }
+    split.close();
+  });
+  while (split.metrics().tuples_out() < 5000) std::this_thread::yield();
+  for (auto& out : outs) out->close();
+  while (split.metrics().dropped() == 0) std::this_thread::yield();
+  stop.store(true, std::memory_order_relaxed);
+  producer.join();
+  for (auto& c : consumers) c.join();
+
+  const auto counts = split.per_target_counts();
+  const std::uint64_t routed = std::accumulate(counts.begin(), counts.end(),
+                                               std::uint64_t{0});
+  EXPECT_EQ(split.metrics().tuples_in(), emitted);
+  EXPECT_EQ(routed, split.metrics().tuples_out());
+  EXPECT_EQ(routed + split.metrics().dropped(), emitted);
+  EXPECT_EQ(received.load(), routed);
 }
 
 }  // namespace
