@@ -15,6 +15,18 @@
 
 namespace astro::stats {
 
+/// One splitmix64 step: advances `state` by the golden-ratio increment and
+/// returns the mixed value.  The one splitmix64 in the program, behind every
+/// seeded fault schedule and the TCP sink's backoff jitter.
+[[nodiscard]] constexpr std::uint64_t splitmix64(
+    std::uint64_t& state) noexcept {
+  state += 0x9E3779B97F4A7C15ull;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) : engine_(seed) {}

@@ -14,6 +14,7 @@
 #include <stdexcept>
 
 #include "io/frame.h"
+#include "stats/rng.h"
 
 namespace astro::stream {
 
@@ -277,11 +278,7 @@ TcpTupleSink::~TcpTupleSink() {
 milliseconds TcpTupleSink::jittered(milliseconds backoff) {
   // splitmix64 step: deterministic per (jitter_seed, call index), so a
   // seeded run replays the exact same backoff schedule.
-  jitter_state_ += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = jitter_state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
+  const std::uint64_t z = stats::splitmix64(jitter_state_);
   // [backoff/2, backoff]: full-jitter floored at half to keep ordering.
   const std::int64_t half = backoff.count() / 2;
   const std::int64_t extra =

@@ -14,9 +14,9 @@
 // and poll-driven deadlines on every connect, read and write, so a stalled
 // peer can never wedge shutdown.
 //
-// Determinism: layer a SocketFaultInjector (stream/socket_fault.h) under
-// the sink's socket calls to replay partial writes, stalls, resets, and
-// bit flips at exact byte offsets.
+// Determinism: layer a FaultInjector (stream/fault.h) under the sink's
+// socket calls to replay connect failures, partial writes, stalls, resets,
+// and bit flips at exact connect attempts and byte offsets.
 
 #include <atomic>
 #include <chrono>
@@ -27,8 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "stream/fault.h"
 #include "stream/session.h"
-#include "stream/socket_fault.h"
 
 namespace astro::stream {
 
@@ -53,8 +53,9 @@ struct TcpTransportOptions {
   std::chrono::milliseconds heal_interval{200};
   /// Seed for the deterministic backoff jitter.
   std::uint64_t jitter_seed = 1;
-  /// Optional deterministic socket fault shim (tests / chaos drills).
-  std::shared_ptr<SocketFaultInjector> fault;
+  /// Optional deterministic fault schedule (tests / chaos drills); its
+  /// TCP events drive the sink's socket calls.
+  std::shared_ptr<FaultInjector> fault;
 };
 
 /// Server-side (receiver) transport knobs.

@@ -17,9 +17,9 @@
 // recycled tuple, so the zero-alloc tuple lifecycle survives the process
 // hop — the property BENCH_transport.json's shm rows gate.
 //
-// Determinism: layer a ShmFaultInjector (stream/shm_fault.h) under the
-// endpoints to replay slot corruption, consumer stalls, and producer
-// death mid-commit at exact transport seqs.
+// Determinism: layer a FaultInjector (stream/fault.h) under the endpoints
+// to replay slot corruption, consumer stalls, and producer death
+// mid-commit at exact transport seqs.
 
 #include <atomic>
 #include <chrono>
@@ -28,8 +28,8 @@
 #include <optional>
 #include <string>
 
+#include "stream/fault.h"
 #include "stream/session.h"
-#include "stream/shm_fault.h"
 #include "stream/shm_ring.h"
 
 namespace astro::stream {
@@ -53,8 +53,9 @@ struct ShmTransportOptions {
   /// Flush / final-drain bound: max wait without tail (resp. watermark)
   /// progress before giving up with counted loss.
   std::chrono::milliseconds ack_timeout{2000};
-  /// Optional deterministic fault shim (tests / chaos drills).
-  std::shared_ptr<ShmFaultInjector> fault;
+  /// Optional deterministic fault schedule (tests / chaos drills); its
+  /// shm events drive slot commits and consumes.
+  std::shared_ptr<FaultInjector> fault;
 };
 
 /// Producer counters: the shared session counters (stream/session.h) plus

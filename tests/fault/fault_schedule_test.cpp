@@ -225,8 +225,9 @@ TEST(FaultSchedule, LinkPartitionDuringSyncRounds) {
     return draw(model, rng);  // endless stream; the test stops the pipeline
   });
   p.start();
-  const bool saw_blocks = poll_until(
-      [&] { return cfg.fault_injector->partition_blocks() >= 3; });
+  const bool saw_blocks = poll_until([&] {
+    return cfg.fault_injector->injected(stream::Fault::kPartition) >= 3;
+  });
   p.stop();
   p.wait();
   ASSERT_TRUE(saw_blocks) << "no sync forward crossed the partition in time";
@@ -237,7 +238,8 @@ TEST(FaultSchedule, LinkPartitionDuringSyncRounds) {
     partition_drops += s.partition_drops;
     merges += s.merges_applied;
   }
-  EXPECT_EQ(partition_drops, cfg.fault_injector->partition_blocks());
+  EXPECT_EQ(partition_drops,
+            cfg.fault_injector->injected(stream::Fault::kPartition));
   EXPECT_GE(partition_drops, 3u);
   // The partition was total and never healed: no merge can have landed.
   EXPECT_EQ(merges, 0u);
@@ -283,7 +285,7 @@ TEST(FaultSchedule, KillDuringMergeRecoversAndRejoins) {
   p.wait();
   ASSERT_TRUE(recovered) << "merge-kill never fired or engine never rejoined";
 
-  EXPECT_EQ(cfg.fault_injector->kills_fired(), 1u);
+  EXPECT_EQ(cfg.fault_injector->injected(stream::Fault::kKill), 1u);
   EXPECT_EQ(p.engine_stats()[1].restarts, 1u);
   // The rejoin path issued its bidirectional re-merge pair at least once.
   EXPECT_TRUE(rejoined);
@@ -308,7 +310,7 @@ TEST(FaultSchedule, InjectedChannelDropsAreAccountedSeparately) {
   const auto queues = index_by_name(root.at("queues"));
   const JsonValue& q0 = *queues.at("chan.split->pca-0");
 
-  EXPECT_EQ(cfg.fault_injector->drops_injected(), 5u);
+  EXPECT_EQ(cfg.fault_injector->injected(stream::Fault::kDrop), 5u);
   EXPECT_EQ(q0.num("faulted"), 5.0);
   EXPECT_EQ(q0.num("rejected"), 0.0);
   // The splitter believed all its sends succeeded...
@@ -333,7 +335,7 @@ TEST(FaultSchedule, SeededRandomDropsAreDeterministic) {
     p.run();
     std::vector<std::uint64_t> out;
     for (const auto& s : p.engine_stats()) out.push_back(s.tuples);
-    out.push_back(cfg.fault_injector->drops_injected());
+    out.push_back(cfg.fault_injector->injected(stream::Fault::kDrop));
     return out;
   };
   const auto a = run_once();
@@ -365,7 +367,7 @@ TEST(FaultSchedule, StopDuringCrashWindowShutsDownCleanly) {
   });
   p.start();
   const bool crashed = poll_until(
-      [&] { return cfg.fault_injector->kills_fired() >= 1; });
+      [&] { return cfg.fault_injector->injected(stream::Fault::kKill) >= 1; });
   p.stop();
   p.wait();  // must return: the supervisor's stop path drains dead ports
   ASSERT_TRUE(crashed);

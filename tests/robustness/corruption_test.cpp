@@ -102,7 +102,7 @@ TEST(CorruptSchedule, WindowIsHalfOpenAndExact) {
     }
   }
   EXPECT_EQ(hit, (std::vector<std::uint64_t>{10, 11, 12}));
-  EXPECT_EQ(inj.corruptions_injected(), 3u);
+  EXPECT_EQ(inj.injected(Fault::kCorrupt), 3u);
   EXPECT_TRUE(inj.watches_channel("ch"));
 }
 
@@ -183,7 +183,7 @@ TEST(CorruptChannel, TupleLandsDamagedAndConservationHolds) {
   EXPECT_EQ(g.pushed.load(), 3u);
   EXPECT_EQ(g.popped.load(), 3u);
   EXPECT_EQ(g.depth.load(), 0u);
-  EXPECT_EQ(inj->corruptions_injected(), 1u);
+  EXPECT_EQ(inj->injected(Fault::kCorrupt), 1u);
 }
 
 TEST(CorruptChannel, TryPushPathAlsoCorrupts) {

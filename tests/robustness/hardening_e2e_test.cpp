@@ -134,7 +134,8 @@ TEST(DataHardening, SeededCorruptionFullyQuarantinedAcrossFourEngines) {
   StreamingPcaPipeline p(cfg, data);
   p.run();
 
-  const std::uint64_t injected = cfg.fault_injector->corruptions_injected();
+  const std::uint64_t injected =
+      cfg.fault_injector->injected(stream::Fault::kCorrupt);
   ASSERT_GT(injected, 0u);  // ~40 expected from 4000 attempts at 1%
   ASSERT_LE(injected, 60u);
 
@@ -208,9 +209,9 @@ TEST(DataHardening, CorruptionRunIsSeedDeterministic) {
     cfg.fault_injector->corrupt_randomly("chan.source->validate", 0.02, 40);
     StreamingPcaPipeline p(cfg, make_data(1500, 2017));
     p.run();
-    std::vector<std::uint64_t> out{cfg.fault_injector->corruptions_injected(),
-                                   p.validator()->quarantined(),
-                                   p.dead_letters()->count()};
+    std::vector<std::uint64_t> out{
+        cfg.fault_injector->injected(stream::Fault::kCorrupt),
+        p.validator()->quarantined(), p.dead_letters()->count()};
     for (int r = 1; r < int(spectra::RejectReason::kCount); ++r) {
       out.push_back(p.validator()->quarantined_for(spectra::RejectReason(r)));
     }

@@ -100,7 +100,7 @@ TEST(ServeFault, ReadersKeepServingAcrossEngineKillAndRestore) {
 
   for (const auto& f : failures) ADD_FAILURE() << f;
   // The kill actually fired, and the supervisor actually restored.
-  EXPECT_GE(injector->kills_fired(), 1u);
+  EXPECT_GE(injector->injected(stream::Fault::kKill), 1u);
   ASSERT_NE(pipeline.supervisor(), nullptr);
   EXPECT_GE(pipeline.supervisor()->total_restarts(), 1u);
   // The serving layer kept publishing through it all.

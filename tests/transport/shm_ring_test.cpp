@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "io/frame.h"
-#include "stream/shm_fault.h"
+#include "stream/fault.h"
 #include "stream/tuple.h"
 
 namespace astro::stream {
@@ -235,7 +235,7 @@ TEST(PeerWatch, FusesPidProbeWithHeartbeatStaleness) {
 }
 
 TEST(ShmFaultInjector, CorruptSlotFiresOncePerEvent) {
-  ShmFaultInjector fault(7);
+  FaultInjector fault(7);
   fault.corrupt_slot(3, 30, 0x80);
   fault.corrupt_slot(3, 31);       // two events on one seq
   fault.corrupt_slot(5, 999, 0);   // offset clamped, mask promoted to 0x01
@@ -251,12 +251,12 @@ TEST(ShmFaultInjector, CorruptSlotFiresOncePerEvent) {
   ASSERT_EQ(plan.flips.size(), 1u);
   EXPECT_EQ(plan.flips[0].first, 39u) << "offset clamped to the frame";
   EXPECT_EQ(plan.flips[0].second, 0x01);
-  EXPECT_EQ(fault.corruptions_injected(), 3u);
-  EXPECT_EQ(fault.scheduled_corruptions(), 3u);
+  EXPECT_EQ(fault.injected(Fault::kFlip), 3u);
+  EXPECT_EQ(fault.scheduled(Fault::kFlip), 3u);
 }
 
 TEST(ShmFaultInjector, DeathAndStallSemantics) {
-  ShmFaultInjector fault;
+  FaultInjector fault;
   fault.die_at_commit(10);
   fault.stall_consume(4, milliseconds(15));
   fault.stall_consume(4, milliseconds(5));
@@ -264,19 +264,19 @@ TEST(ShmFaultInjector, DeathAndStallSemantics) {
   EXPECT_FALSE(fault.plan_commit(9, 64).die);
   EXPECT_TRUE(fault.plan_commit(10, 64).die);
   EXPECT_FALSE(fault.plan_commit(10, 64).die) << "death fires once";
-  EXPECT_EQ(fault.deaths_injected(), 1u);
+  EXPECT_EQ(fault.injected(Fault::kDie), 1u);
 
   EXPECT_EQ(fault.plan_consume(4), milliseconds(20)) << "stalls accumulate";
   EXPECT_EQ(fault.plan_consume(4), milliseconds(0));
-  EXPECT_EQ(fault.stalls_injected(), 2u);
+  EXPECT_EQ(fault.injected(Fault::kStall), 2u);
 }
 
 TEST(ShmFaultInjector, SeededRandomScheduleIsDeterministic) {
-  ShmFaultInjector a(1234);
-  ShmFaultInjector b(1234);
+  FaultInjector a(1234);
+  FaultInjector b(1234);
   a.corrupt_random(16, 100, 28, 90);
   b.corrupt_random(16, 100, 28, 90);
-  ASSERT_EQ(a.scheduled_corruptions(), 16u);
+  ASSERT_EQ(a.scheduled(Fault::kFlip), 16u);
   for (std::uint64_t seq = 1; seq <= 100; ++seq) {
     const auto pa = a.plan_commit(seq, 128);
     const auto pb = b.plan_commit(seq, 128);
@@ -287,7 +287,7 @@ TEST(ShmFaultInjector, SeededRandomScheduleIsDeterministic) {
       EXPECT_NE(mask, 0);
     }
   }
-  EXPECT_EQ(a.corruptions_injected(), 16u);
+  EXPECT_EQ(a.injected(Fault::kFlip), 16u);
 }
 
 }  // namespace

@@ -103,7 +103,7 @@ TEST(ShmSession, ExactlyOnceCleanStream) {
 TEST(ShmSession, CorruptSlotsQuarantineWithExactConservation) {
   constexpr std::size_t kN = 300;
   constexpr std::size_t kDim = 6;
-  auto fault = std::make_shared<ShmFaultInjector>(11);
+  auto fault = std::make_shared<FaultInjector>(11);
   // Offsets past the header (>= 28) keep the frame decodable but CRC-dead:
   // the quarantine path, not the protocol-error path.
   fault->corrupt_slot(17, 30);
@@ -168,7 +168,7 @@ TEST(ShmSession, CorruptSlotsQuarantineWithExactConservation) {
   EXPECT_EQ(sc.accepted, kN);
   EXPECT_EQ(sc.acked, kN);
   EXPECT_EQ(sc.lossy_dropped, 0u);
-  EXPECT_EQ(fault->corruptions_injected(), 3u);
+  EXPECT_EQ(fault->injected(Fault::kFlip), 3u);
 }
 
 TEST(ShmSession, MalformedBodiesAndFullDeadLettersNeverBlock) {
@@ -305,7 +305,7 @@ TEST(ShmSession, ConsumerRestartReplaysExactlyTheUnconsumedSuffix) {
 TEST(ShmSession, ProducerDeathMidCommitIsDetected) {
   constexpr std::size_t kN = 120;
   constexpr std::size_t kDim = 4;
-  auto fault = std::make_shared<ShmFaultInjector>(3);
+  auto fault = std::make_shared<FaultInjector>(3);
   fault->die_at_commit(50);
 
   ShmTransportOptions opts;
@@ -332,7 +332,7 @@ TEST(ShmSession, ProducerDeathMidCommitIsDetected) {
   // Seq 50's slot was written but never committed: the stream ends at 49.
   EXPECT_EQ(got.size(), 49u);
   EXPECT_EQ(sink.stop_reason(), StopReason::kError);
-  EXPECT_EQ(fault->deaths_injected(), 1u);
+  EXPECT_EQ(fault->injected(Fault::kDie), 1u);
 
   const ShmServerCounters vc = server.counters();
   EXPECT_EQ(vc.delivered, 49u);
@@ -398,7 +398,7 @@ TEST(ShmSession, DegradedWithoutConsumerThenHealsOnAttach) {
 TEST(ShmSession, StalledConsumerExercisesBackpressure) {
   constexpr std::size_t kN = 100;
   constexpr std::size_t kDim = 4;
-  auto fault = std::make_shared<ShmFaultInjector>(5);
+  auto fault = std::make_shared<FaultInjector>(5);
   fault->stall_consume(10, milliseconds(120));
 
   ShmTransportOptions opts;
@@ -427,7 +427,7 @@ TEST(ShmSession, StalledConsumerExercisesBackpressure) {
   EXPECT_EQ(sc.lossy_dropped, 0u);
   EXPECT_GE(sc.blocked_waits, 1u) << "the stall must back the producer up";
   EXPECT_GE(sc.wraps, 1u);
-  EXPECT_EQ(fault->stalls_injected(), 1u);
+  EXPECT_EQ(fault->injected(Fault::kStall), 1u);
 }
 
 TEST(ShmSession, OversizedTupleIsCountedNeverTruncated) {

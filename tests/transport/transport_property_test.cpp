@@ -24,10 +24,10 @@
 #include <vector>
 
 #include "io/frame.h"
+#include "stream/fault.h"
 #include "stream/graph.h"
 #include "stream/net.h"
 #include "stream/sink.h"
-#include "stream/socket_fault.h"
 #include "stream/source.h"
 
 namespace astro::stream {
@@ -58,11 +58,11 @@ struct RunOutcome {
 };
 
 RunOutcome run_schedule(std::uint64_t seed) {
-  auto fault = std::make_shared<SocketFaultInjector>(seed);
+  auto fault = std::make_shared<FaultInjector>(seed);
   std::uint64_t s = seed;
 
   // Partial writes everywhere: cap chunks to [5, 27] bytes.
-  fault->chunk_writes(SocketFaultInjector::kEveryConnection,
+  fault->chunk_writes(FaultInjector::kEveryConnection,
                       5 + splitmix64(s) % 23);
   // One in-flight flip on connection 0, somewhere in data frame f0's
   // payload values (frame-relative offset >= kFrameHeaderBytes keeps the
@@ -111,8 +111,8 @@ RunOutcome run_schedule(std::uint64_t seed) {
   RunOutcome out;
   out.sink = sink->counters();
   out.server = server->counters();
-  out.flips = fault->flips_injected();
-  out.resets = fault->resets_injected();
+  out.flips = fault->injected(Fault::kFlip);
+  out.resets = fault->injected(Fault::kReset);
   std::set<std::uint64_t> seqs;
   bool once = true;
   for (const auto& t : collector->snapshot()) {

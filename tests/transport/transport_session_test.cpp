@@ -1,6 +1,6 @@
 // In-process scenario tests for the session transport: one loopback
 // TcpTupleSink / TcpTupleServer pair per test, driven through a seeded
-// SocketFaultInjector so every reconnect, retransmit, and CRC reject
+// FaultInjector so every reconnect, retransmit, and CRC reject
 // happens at an exact byte offset of the outgoing stream — the scenarios
 // replay identically run after run.
 //
@@ -32,9 +32,9 @@
 #include "app/pipeline.h"
 #include "io/frame.h"
 #include "stream/dead_letter.h"
+#include "stream/fault.h"
 #include "stream/graph.h"
 #include "stream/sink.h"
-#include "stream/socket_fault.h"
 #include "stream/source.h"
 
 namespace astro::stream {
@@ -64,7 +64,7 @@ std::vector<linalg::Vector> payload(std::size_t n) {
 }
 
 /// Fast-failure transport options for tests: small deadlines, tiny backoff.
-TcpTransportOptions fast_opts(std::shared_ptr<SocketFaultInjector> fault) {
+TcpTransportOptions fast_opts(std::shared_ptr<FaultInjector> fault) {
   TcpTransportOptions o;
   o.retransmit_window = 16;
   o.connect_attempts = 10;
@@ -92,7 +92,7 @@ void expect_exactly_once(const std::vector<DataTuple>& items, std::size_t n) {
 
 TEST(TransportSession, ResumesAfterConnectionReset) {
   constexpr std::size_t kN = 60;
-  auto fault = std::make_shared<SocketFaultInjector>(11);
+  auto fault = std::make_shared<FaultInjector>(11);
   // Kill the send covering data frame 20 on the first connection.
   fault->reset_at(0, frame_offset(20, 40));
 
@@ -112,7 +112,7 @@ TEST(TransportSession, ResumesAfterConnectionReset) {
   graph.wait();
 
   expect_exactly_once(collector->snapshot(), kN);
-  EXPECT_EQ(fault->resets_injected(), 1u);
+  EXPECT_EQ(fault->injected(Fault::kReset), 1u);
   const TcpSinkCounters c = sink->counters();
   EXPECT_EQ(c.accepted, kN);
   EXPECT_EQ(c.acked, kN);
@@ -132,7 +132,7 @@ TEST(TransportSession, ResumesAfterConnectionReset) {
 
 TEST(TransportSession, CrcRejectQuarantinedThenHealedByRetransmit) {
   constexpr std::size_t kN = 30;
-  auto fault = std::make_shared<SocketFaultInjector>(12);
+  auto fault = std::make_shared<FaultInjector>(12);
   // Damage one payload byte of data frame 5 in flight.  The header stays
   // intact, so the receiver sees a well-framed message whose CRC32C fails:
   // it must quarantine the frame (DLQ, typed reason), never apply it, and
@@ -163,7 +163,7 @@ TEST(TransportSession, CrcRejectQuarantinedThenHealedByRetransmit) {
   dead.join();
 
   expect_exactly_once(collector->snapshot(), kN);
-  EXPECT_EQ(fault->flips_injected(), 1u);
+  EXPECT_EQ(fault->injected(Fault::kFlip), 1u);
   const TcpServerCounters s = server->counters();
   EXPECT_EQ(s.crc_rejects, 1u);
   EXPECT_EQ(s.dead_letters, 1u);
@@ -247,7 +247,7 @@ TEST(TransportSession, MalformedBodiesAndFullDeadLettersNeverBlock) {
 
 TEST(TransportSession, StalledLinkHitsWriteDeadlineAndRecovers) {
   constexpr std::size_t kN = 40;
-  auto fault = std::make_shared<SocketFaultInjector>(13);
+  auto fault = std::make_shared<FaultInjector>(13);
   // Hold the send covering data frame 10 for longer than the write
   // deadline: the sink must declare the connection dead instead of
   // blocking, then reconnect and resume.
@@ -268,7 +268,7 @@ TEST(TransportSession, StalledLinkHitsWriteDeadlineAndRecovers) {
   graph.wait();
 
   expect_exactly_once(collector->snapshot(), kN);
-  EXPECT_EQ(fault->stalls_injected(), 1u);
+  EXPECT_EQ(fault->injected(Fault::kStall), 1u);
   const TcpSinkCounters c = sink->counters();
   EXPECT_EQ(c.acked, kN);
   EXPECT_EQ(c.lossy_dropped, 0u);
@@ -279,8 +279,8 @@ TEST(TransportSession, ForcedPartialWritesDeliverEverything) {
   // Cap every send to 7 bytes: each 96-byte frame takes >= 14 kernel
   // writes, exercising the poll-driven partial-write loop on every frame.
   constexpr std::size_t kN = 50;
-  auto fault = std::make_shared<SocketFaultInjector>(14);
-  fault->chunk_writes(SocketFaultInjector::kEveryConnection, 7);
+  auto fault = std::make_shared<FaultInjector>(14);
+  fault->chunk_writes(FaultInjector::kEveryConnection, 7);
 
   auto to_sink = make_channel<DataTuple>(64);
   auto from_server = make_channel<DataTuple>(64);
@@ -297,7 +297,7 @@ TEST(TransportSession, ForcedPartialWritesDeliverEverything) {
   graph.wait();
 
   expect_exactly_once(collector->snapshot(), kN);
-  EXPECT_GT(fault->partial_sends(), kN);
+  EXPECT_GT(fault->injected(Fault::kPartialSend), kN);
   const TcpSinkCounters c = sink->counters();
   EXPECT_EQ(c.acked, kN);
   EXPECT_EQ(c.lossy_dropped, 0u);
@@ -311,7 +311,7 @@ TEST(TransportSession, DegradedLinkCountsDropsThenReheals) {
   // listener and the session re-heals.  Tuples popped while degraded are
   // counted drops; tuples after the heal are delivered — conservation
   // stays exact throughout.
-  auto fault = std::make_shared<SocketFaultInjector>(15);
+  auto fault = std::make_shared<FaultInjector>(15);
   fault->fail_connect(/*first=*/1, /*count=*/3);
   TcpTransportOptions opts = fast_opts(fault);
   opts.connect_attempts = 2;
@@ -357,7 +357,7 @@ TEST(TransportSession, DegradedLinkCountsDropsThenReheals) {
   EXPECT_EQ(c.acked + c.lossy_dropped, 10u);
   EXPECT_EQ(c.accepted, c.acked + c.lossy_dropped);
   EXPECT_FALSE(c.degraded);
-  EXPECT_EQ(fault->connects_failed(), 3u);
+  EXPECT_EQ(fault->injected(Fault::kConnectFail), 3u);
   const auto items = collector->snapshot();
   ASSERT_EQ(items.size(), 5u);
   for (const auto& item : items) EXPECT_GE(item.seq, 5u);
@@ -506,7 +506,7 @@ TEST(TransportSession, FusedGateSharesDeadLettersWithCrcHusks) {
   constexpr std::size_t kDimP = 8;
   constexpr std::size_t kFrame =
       io::kFrameHeaderBytes + io::kTuplePayloadFixed + kDimP * 8;
-  auto fault = std::make_shared<SocketFaultInjector>(31);
+  auto fault = std::make_shared<FaultInjector>(31);
   for (const std::size_t k : {5u, 150u, 320u}) {
     fault->flip_at(0, kHello + k * kFrame + 40, 0x20);
   }
@@ -540,8 +540,8 @@ TEST(TransportSession, FusedGateSharesDeadLettersWithCrcHusks) {
 
   const TcpServerCounters down = pipeline.transport_downlink()->counters();
   const TcpSinkCounters up = pipeline.transport_uplink()->counters();
-  ASSERT_GE(fault->flips_injected(), 1u);
-  EXPECT_EQ(down.crc_rejects, fault->flips_injected());
+  ASSERT_GE(fault->injected(Fault::kFlip), 1u);
+  EXPECT_EQ(down.crc_rejects, fault->injected(Fault::kFlip));
   EXPECT_EQ(down.dead_letters, down.crc_rejects);
   EXPECT_EQ(down.dead_letter_overflow, 0u);
   EXPECT_EQ(up.acked, kN);

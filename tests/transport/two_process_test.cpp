@@ -5,7 +5,7 @@
 // port.  The session transport must reconnect with backoff, resume at the
 // child's recovered durable watermark, and finish the stream with zero
 // loss and zero duplication, asserted from the merged on-disk log and the
-// child's metrics JSON.  A seeded SocketFaultInjector forces partial
+// child's metrics JSON.  A seeded FaultInjector forces partial
 // writes throughout, so the crash lands on a non-trivial wire state.
 
 #include <gtest/gtest.h>
@@ -25,8 +25,8 @@
 #include <thread>
 #include <vector>
 
+#include "stream/fault.h"
 #include "stream/net.h"
-#include "stream/socket_fault.h"
 
 #ifndef TRANSPORT_CHILD_BIN
 #error "TRANSPORT_CHILD_BIN must point at the transport_child executable"
@@ -102,8 +102,8 @@ TEST(TwoProcess, KillNineAndRestartLosesAndDuplicatesNothing) {
   const std::uint16_t port = await_port_file(port_file.path);
   ASSERT_NE(port, 0) << "child never published its port";
 
-  auto fault = std::make_shared<SocketFaultInjector>(42);
-  fault->chunk_writes(SocketFaultInjector::kEveryConnection, 11);
+  auto fault = std::make_shared<FaultInjector>(42);
+  fault->chunk_writes(FaultInjector::kEveryConnection, 11);
   TcpTransportOptions opts;
   opts.retransmit_window = 32;
   // The outage lasts as long as the parent takes to re-exec the child;
@@ -167,7 +167,7 @@ TEST(TwoProcess, KillNineAndRestartLosesAndDuplicatesNothing) {
   EXPECT_GE(c.outages, 1u);
   EXPECT_GE(c.reconnects, 1u);
   EXPECT_EQ(sink.stop_reason(), StopReason::kUpstreamClosed);
-  EXPECT_GT(fault->partial_sends(), 0u);
+  EXPECT_GT(fault->injected(Fault::kPartialSend), 0u);
 
   // Receiver-side: the restarted child resumed (not restarted from zero)
   // and saw a clean end of stream.
