@@ -74,6 +74,8 @@ int main(int argc, char** argv) {
   config.engines = 4;
   config.collect_outliers = true;
   const std::size_t n_rows = dataset.rows.size();
+  // A finite file: keep every outlier for the dump, not just the newest.
+  config.dead_letter_retained = n_rows;
 
   app::StreamingPcaPipeline pipeline(config, std::move(dataset.rows),
                                      std::move(dataset.masks));

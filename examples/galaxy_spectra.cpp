@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
                 (unsigned long long)stats[i].merges_applied,
                 (unsigned long long)stats[i].merges_skipped);
   }
-  std::printf("  outlier stream collected %zu rejected spectra\n",
+  std::printf("  outlier log retains the newest %zu rejected spectra\n",
               pipeline.outliers().size());
 
   const char* path = "/tmp/galaxy_eigensystem.ckpt";

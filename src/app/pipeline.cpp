@@ -12,7 +12,6 @@ namespace astro::app {
 
 using stream::ControlTuple;
 using stream::DataTuple;
-using stream::make_channel;
 
 namespace {
 
@@ -45,8 +44,7 @@ Rows session_rows(const stream::SessionServerCounters& c) {
           {"sessions", double(c.sessions)},
           {"resumes", double(c.resumes)},
           {"byes", double(c.byes)},
-          {"dead_letters", double(c.dead_letters)},
-          {"dead_letter_overflow", double(c.dead_letter_overflow)}};
+          {"dead_letters", double(c.dead_letters)}};
 }
 
 // ... then the carrier's own.
@@ -149,11 +147,10 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
   if (config.pca.dim > 0 && !tcp_transport) {
     std::size_t slabs = config.arena_capacity;
     if (slabs == 0) {
-      // The data channels that exist: the engine ports, the outlier
-      // stream, and with a transport the source -> uplink queue.  The
-      // fused split's in-edge buffers nothing.
-      const std::size_t data_channels = (config.transport.enabled ? 1 : 0) +
-                                        n + (config.collect_outliers ? 1 : 0);
+      // The data channels that exist: the engine ports, and with a
+      // transport the source -> uplink queue.  The fused split's in-edge
+      // buffers nothing, and recorders keep copies, never slabs.
+      const std::size_t data_channels = (config.transport.enabled ? 1 : 0) + n;
       slabs = data_channels * config.channel_capacity +
               n * (std::max<std::size_t>(config.batch_max, 1) + 4) + 64;
     }
@@ -162,14 +159,21 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
 
   // Data plane.  Channels register their gauges with the registry under
   // "chan.<from>-><to>" names.  With ingest validation enabled the split
-  // runs the gatekeeper ("validate"), with rejects flowing to a bounded
-  // dead-letter queue instead of the engines.
+  // runs the gatekeeper ("validate"), and rejects are recorded as dead
+  // letters instead of reaching the engines.
   if (config.validate_ingest) {
-    dead_letter_channel_ = make_named_channel<stream::DeadLetter>(
-        "chan.validate->dlq", config.dead_letter_capacity);
+    dead_letters_ = std::make_unique<stream::Recorder<stream::DeadLetter>>(
+        config.dead_letter_retained);
+    registry_.add_operator(
+        "dead-letter", &dead_letters_->metrics(),
+        [r = dead_letters_.get()] {
+          return std::vector<std::pair<std::string, double>>{
+              {"dead_letters", double(r->count())}};
+        },
+        this);
     spectra::ValidationPolicy policy = config.validation;
     if (policy.expected_dim == 0) policy.expected_dim = config.pca.dim;
-    gate_ = std::make_unique<stream::IngestGate>(dead_letter_channel_, policy,
+    gate_ = std::make_unique<stream::IngestGate>(dead_letters_.get(), policy,
                                                  arena_.get());
     registry_.add_operator(
         "validate", &gate_->metrics(),
@@ -178,8 +182,7 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
               {"accepted", double(v->accepted())},
               {"quarantined", double(v->quarantined())},
               {"repaired", double(v->repaired())},
-              {"repaired_pixels", double(v->repaired_pixels())},
-              {"dlq_overflow", double(v->dlq_overflow())}};
+              {"repaired_pixels", double(v->repaired_pixels())}};
           for (int r = 1; r < int(spectra::RejectReason::kCount); ++r) {
             const auto reason = spectra::RejectReason(r);
             extras.emplace_back("reason." + spectra::to_string(reason),
@@ -225,7 +228,7 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
   source_->set_arena(arena_.get());
   // The source also reports the arena's occupancy gauges: a steady `grown`
   // rate here means the pool is undersized (or slabs leak out of the
-  // recycle loop, e.g. via collected outliers).
+  // recycle loop).
   registry_.add_operator(
       "source", &source_->metrics(),
       arena_ ? stream::MetricsRegistry::Extras([a = arena_.get()] {
@@ -283,21 +286,10 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     add_transport(sink, server);
   }
 
-  if (config.validate_ingest) {
-    // Transport CRC rejects share the ingest quarantine: a frame damaged on
-    // the wire lands in the same dead-letter stream as a tuple damaged at
-    // the telescope.
-    if (downlink_ != nullptr) downlink_->set_dead_letters(dead_letter_channel_);
-    dead_letter_sink_ = graph_.add<stream::DeadLetterSink>(
-        "dead-letter", dead_letter_channel_, config.dead_letter_retained);
-    registry_.add_operator(
-        "dead-letter", &dead_letter_sink_->metrics(),
-        [s = dead_letter_sink_] {
-          return std::vector<std::pair<std::string, double>>{
-              {"dead_letters", double(s->count())}};
-        },
-        this);
-  }
+  // Transport CRC rejects share the ingest quarantine: a frame damaged on
+  // the wire lands in the same dead-letter log as a tuple damaged at the
+  // telescope.
+  if (downlink_ != nullptr) downlink_->set_dead_letters(dead_letters_.get());
 
   // Control plane.  Even with sync disabled the engines need control ports
   // (they exit when both planes close), so the channels always exist.
@@ -308,8 +300,9 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
   }
 
   if (config.collect_outliers) {
-    outlier_channel_ = make_named_channel<DataTuple>(
-        "chan.engines->outliers", config.channel_capacity);
+    outliers_ = std::make_unique<stream::Recorder<DataTuple>>(
+        config.dead_letter_retained);
+    registry_.add_operator("outliers", &outliers_->metrics(), {}, this);
   }
 
   // Recovery wiring.  A supervisor without checkpoints could only restart
@@ -335,7 +328,7 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     auto* engine = graph_.add<sync::PcaEngineOperator>(
         "pca-" + std::to_string(i), int(i), config.pca, engine_data_[i],
         engine_control[i], exchange_, engine_control, policy,
-        outlier_channel_, std::move(fault_opts), config.batch_max);
+        outliers_.get(), std::move(fault_opts), config.batch_max);
     engine->set_arena(arena_.get());
     engines_.push_back(engine);
     registry_.add_operator(
@@ -447,17 +440,11 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     for (auto& c : engine_control) c->close();
   }
 
-  if (config.collect_outliers) {
-    outlier_sink_ =
-        graph_.add<stream::CollectorSink<DataTuple>>("outliers",
-                                                     outlier_channel_);
-    registry_.add_operator("outliers", &outlier_sink_->metrics(), {}, this);
-  }
-
   // Serving layer + in-flight snapshot feed share one sampling loop: the
-  // SnapshotPublisher both emits the SnapshotTuple stream and (when serving
-  // is enabled) publishes the merged healthy-engine eigensystem as the next
-  // lock-free version readers query through serve_server().
+  // SnapshotPublisher records the SnapshotTuple feed (when it was asked
+  // for) and publishes the merged healthy-engine eigensystem as the next
+  // lock-free version readers query through serve_server() (when serving
+  // is enabled).
   if (config.serve.enabled) {
     serve::ServeConfig serve_cfg;
     serve_cfg.max_in_flight = config.serve.max_in_flight;
@@ -483,16 +470,15 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     const double interval = config.snapshot_interval_seconds > 0.0
                                 ? config.snapshot_interval_seconds
                                 : config.serve.publish_interval_seconds;
-    auto snapshot_channel = make_named_channel<sync::SnapshotTuple>(
-        "chan.snapshots->snapshot-log", 4096);
+    if (config.snapshot_interval_seconds > 0.0) {
+      snapshots_ = std::make_unique<stream::Recorder<sync::SnapshotTuple>>(
+          kSnapshotsRetained);
+      registry_.add_operator("snapshot-log", &snapshots_->metrics(), {}, this);
+    }
     snapshot_publisher_ = graph_.add<sync::SnapshotPublisher>(
-        "snapshots", engines_, snapshot_channel, interval,
+        "snapshots", engines_, snapshots_.get(), interval,
         serve_server_.get());
     registry_.add_operator("snapshots", &snapshot_publisher_->metrics(), {},
-                           this);
-    snapshot_sink_ = graph_.add<stream::CollectorSink<sync::SnapshotTuple>>(
-        "snapshot-log", snapshot_channel);
-    registry_.add_operator("snapshot-log", &snapshot_sink_->metrics(), {},
                            this);
   }
 
@@ -511,9 +497,9 @@ void StreamingPcaPipeline::start() {
 void StreamingPcaPipeline::wait() {
   // Natural completion order: the split's producer — the source, or the
   // downlink behind a transport — routes its last tuple and closes the
-  // engine data ports and the DLQ.  Engines keep serving control traffic
-  // until the sync subsystem is shut down, so stop it once the data plane
-  // has finished.
+  // engine data ports.  Engines keep serving control traffic until the
+  // sync subsystem is shut down, so stop it once the data plane has
+  // finished.
   source_->join();
   if (uplink_ != nullptr) {
     // The sink flushes (waits for the receiver to confirm, or counts what
@@ -532,8 +518,6 @@ void StreamingPcaPipeline::wait() {
   // engine joins below reap the final incarnations.
   if (supervisor_) supervisor_->join();
   for (auto* e : engines_) e->join();
-  // All producers of the shared outlier stream are done; release the sink.
-  if (outlier_channel_) outlier_channel_->close();
   if (snapshot_publisher_ != nullptr) snapshot_publisher_->request_stop();
   graph_.wait();
   // Final profiler sample covers the fully drained state.
@@ -550,10 +534,8 @@ void StreamingPcaPipeline::stop() {
   // FlowGraph::stop only raises flags; a producer parked inside a blocking
   // push never rechecks them.  Close the channels such a producer could be
   // stuck on: the source -> uplink queue (the uplink exits without
-  // draining it) and the shared outlier stream (its sink likewise exits on
-  // the flag alone).
+  // draining it).
   if (uplink_in_) uplink_in_->close();
-  if (outlier_channel_) outlier_channel_->close();
   // The engine data ports too: engines exit on their stop flags *without*
   // draining, so the split's producer (source or downlink) parked in the
   // blocking-push fallback on a full port would otherwise never wake.  The
@@ -609,13 +591,13 @@ std::vector<std::uint64_t> StreamingPcaPipeline::split_counts() const {
 }
 
 std::vector<stream::DataTuple> StreamingPcaPipeline::outliers() const {
-  if (outlier_sink_ == nullptr) return {};
-  return outlier_sink_->snapshot();
+  if (!outliers_) return {};
+  return outliers_->retained();
 }
 
 std::vector<sync::SnapshotTuple> StreamingPcaPipeline::snapshots() const {
-  if (snapshot_sink_ == nullptr) return {};
-  return snapshot_sink_->snapshot();
+  if (!snapshots_) return {};
+  return snapshots_->retained();
 }
 
 double StreamingPcaPipeline::throughput() const {

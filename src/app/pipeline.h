@@ -8,11 +8,12 @@
 //   sync controller ─> engines (control ports; paced at sync_rate_hz)
 //
 // The split and its ingest gate run fused on the source's thread (the
-// downlink's behind a transport).  Plus an optional outlier stream
-// collecting the observations the robust weighting rejected.  One call
-// builds the graph; run() blocks until the source is exhausted, every
-// engine drained its partition, and the final merged eigensystem is
-// available from result().
+// downlink's behind a transport).  The side logs — dead letters, the
+// observations the robust weighting rejected, the in-flight snapshot feed
+// — are bounded recorders their producers call on their own threads, not
+// operators.  One call builds the graph; run() blocks until the source is
+// exhausted, every engine drained its partition, and the final merged
+// eigensystem is available from result().
 
 #include <memory>
 #include <optional>
@@ -27,10 +28,10 @@
 #include "stream/fault.h"
 #include "stream/graph.h"
 #include "stream/net.h"
+#include "stream/recorder.h"
 #include "stream/registry.h"
 #include "stream/shm_net.h"
 #include "stream/sampler.h"
-#include "stream/sink.h"
 #include "stream/source.h"
 #include "stream/split.h"
 #include "stream/tuple_arena.h"
@@ -78,9 +79,12 @@ struct PipelineConfig {
   /// exhausted pool falls back to counted heap growth, never blocking.
   std::size_t arena_capacity = 0;
   double source_rate = 0.0;  ///< tuples/s cap at the source; 0 = unthrottled
+  /// Records the observations the robust weighting rejected; outliers()
+  /// returns the newest `dead_letter_retained` of them.
   bool collect_outliers = false;
   /// > 0 runs a SnapshotPublisher sampling every engine at this interval —
-  /// the in-flight results feed; read them with snapshots().
+  /// the in-flight results feed; snapshots() returns the newest
+  /// kSnapshotsRetained entries.
   double snapshot_interval_seconds = 0.0;
   /// > 0 runs a background MetricsSampler snapshotting the pipeline's
   /// metrics registry at this interval (the §III-D profiler loop); read the
@@ -101,14 +105,15 @@ struct PipelineConfig {
   sync::SupervisorConfig supervisor;
   /// Runs an IngestGate inside the fused split: every tuple is checked
   /// (and possibly repaired) against `validation` on the producing thread
-  /// before it is routed to an engine; rejects flow to a bounded
-  /// dead-letter queue with a typed reason.  No extra thread or queue.
+  /// before it is routed to an engine; rejects are recorded as dead letters
+  /// with a typed reason.  No extra thread or queue.
   /// Conservation: accepted + quarantined == ingested.
   bool validate_ingest = false;
   /// Validation policy; expected_dim defaults to pca.dim when left 0.
   spectra::ValidationPolicy validation;
-  std::size_t dead_letter_capacity = 256;  ///< DLQ channel bound
-  std::size_t dead_letter_retained = 64;   ///< rejects kept for forensics
+  /// Newest entries each reject log keeps (dead letters, and outliers with
+  /// collect_outliers); counts are never bounded.
+  std::size_t dead_letter_retained = 64;
   /// > 0 arms each engine's numerical-health watchdog: self-check every N
   /// applied tuples, quarantine + checkpoint-reinit on failure (see
   /// pca/health.h).  Requires supervise (recovery is the Supervisor's job).
@@ -173,6 +178,9 @@ struct PipelineConfig {
 
 class StreamingPcaPipeline {
  public:
+  /// Snapshot-feed entries snapshots() keeps (the newest).
+  static constexpr std::size_t kSnapshotsRetained = 4096;
+
   /// Stream from a generator (nullopt ends the stream).
   StreamingPcaPipeline(const PipelineConfig& config,
                        stream::GeneratorSource::Generator generator);
@@ -210,9 +218,11 @@ class StreamingPcaPipeline {
 
   [[nodiscard]] std::vector<sync::EngineStats> engine_stats() const;
   [[nodiscard]] std::vector<std::uint64_t> split_counts() const;
+  /// The newest recorded outliers, oldest first (empty unless
+  /// collect_outliers).  Safe to call mid-run.
   [[nodiscard]] std::vector<stream::DataTuple> outliers() const;
 
-  /// In-flight snapshots collected so far (empty unless
+  /// The newest in-flight snapshots, oldest first (empty unless
   /// snapshot_interval_seconds > 0).  Safe to call mid-run.
   [[nodiscard]] std::vector<sync::SnapshotTuple> snapshots() const;
   [[nodiscard]] std::size_t engines() const noexcept { return engines_.size(); }
@@ -246,9 +256,11 @@ class StreamingPcaPipeline {
   [[nodiscard]] const stream::IngestGate* validator() const noexcept {
     return gate_.get();
   }
-  /// The dead-letter sink (nullptr unless config.validate_ingest).
-  [[nodiscard]] const stream::DeadLetterSink* dead_letters() const noexcept {
-    return dead_letter_sink_;
+  /// The dead-letter recorder (nullptr unless config.validate_ingest):
+  /// counts by reason, and retained() is the newest window.
+  [[nodiscard]] const stream::Recorder<stream::DeadLetter>* dead_letters()
+      const noexcept {
+    return dead_letters_.get();
   }
   /// The serving layer (nullptr unless config.serve.enabled).  Thread-safe:
   /// query it from any number of threads while the pipeline runs.
@@ -322,6 +334,11 @@ class StreamingPcaPipeline {
   // graph) holds a raw pointer to the server, so the server must be
   // destroyed after the graph joins and destroys the publisher.
   std::unique_ptr<serve::SnapshotServer> serve_server_;
+  // Declared before graph_ and gate_ for the same reason: producers record
+  // into them through non-owning pointers.
+  std::unique_ptr<stream::Recorder<stream::DeadLetter>> dead_letters_;
+  std::unique_ptr<stream::Recorder<stream::DataTuple>> outliers_;
+  std::unique_ptr<stream::Recorder<sync::SnapshotTuple>> snapshots_;
   // Declared before graph_ for the same reason: the split runs the ingest
   // gate on its producer's thread through a non-owning pointer.
   std::unique_ptr<stream::IngestGate> gate_;
@@ -334,15 +351,10 @@ class StreamingPcaPipeline {
   stream::SessionSink* uplink_ = nullptr;
   stream::SessionServer* downlink_ = nullptr;
   stream::ChannelPtr<stream::DataTuple> uplink_in_;
-  stream::DeadLetterSink* dead_letter_sink_ = nullptr;
-  stream::ChannelPtr<stream::DeadLetter> dead_letter_channel_;
   sync::SyncController* controller_ = nullptr;
   std::vector<sync::PcaEngineOperator*> engines_;
   std::vector<stream::ChannelPtr<stream::DataTuple>> engine_data_;
-  stream::CollectorSink<stream::DataTuple>* outlier_sink_ = nullptr;
-  stream::ChannelPtr<stream::DataTuple> outlier_channel_;
   sync::SnapshotPublisher* snapshot_publisher_ = nullptr;
-  stream::CollectorSink<sync::SnapshotTuple>* snapshot_sink_ = nullptr;
   std::shared_ptr<sync::StateExchange> exchange_;
   std::shared_ptr<sync::CheckpointStore> checkpoint_store_;
   // Not in the FlowGraph: the supervisor's thread dereferences engine

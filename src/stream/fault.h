@@ -55,7 +55,7 @@
 // Shared-memory carrier (triggers are transport seqs):
 //   corrupt_slot   — XOR-damage a byte of the frame staged for a seq, after
 //                    encode and before commit (the consumer's CRC must
-//                    catch it and route the husk to the DLQ).
+//                    catch it and record the husk as a dead letter).
 //   corrupt_random — `count` corrupt_slot events drawn from the seed.
 //   die_at_commit  — the producer writes the slot but "crashes" before the
 //                    committing head store; the consumer's peer-death

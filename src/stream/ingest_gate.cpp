@@ -4,9 +4,9 @@
 
 namespace astro::stream {
 
-IngestGate::IngestGate(ChannelPtr<DeadLetter> dlq,
+IngestGate::IngestGate(Recorder<DeadLetter>* dead_letters,
                        spectra::ValidationPolicy policy, TupleArena* arena)
-    : dlq_(std::move(dlq)), policy_(policy), arena_(arena) {}
+    : dead_letters_(dead_letters), policy_(policy), arena_(arena) {}
 
 bool IngestGate::admit(DataTuple& t) {
   const std::uint64_t t0 = OperatorMetrics::now_ns();
@@ -32,24 +32,12 @@ bool IngestGate::admit(DataTuple& t) {
 void IngestGate::quarantine(DataTuple& t, spectra::RejectReason reason) {
   quarantined_.fetch_add(1, std::memory_order_relaxed);
   by_reason_[std::size_t(reason)].fetch_add(1, std::memory_order_relaxed);
-  if (dlq_) {
-    DeadLetter letter;
-    letter.reason = reason;
-    if (arena_) {
-      letter.tuple = t;  // copy-on-quarantine: the slab returns below
-    } else {
-      letter.tuple = std::move(t);
-    }
-    if (!dlq_->try_push(letter)) {  // never backpressure the science stream
-      dlq_overflow_.fetch_add(1, std::memory_order_relaxed);
-    }
+  DeadLetter letter{std::move(t), reason};
+  if (dead_letters_ != nullptr) {
+    dead_letters_->record(letter, letter.tuple.wire_bytes());
   }
-  if (arena_) arena_->release(t);
-}
-
-void IngestGate::close() {
-  metrics_.mark_stop();
-  if (dlq_) dlq_->close();
+  // The recorder keeps a copy: the slab goes back to the pool.
+  if (arena_) arena_->release(letter.tuple);
 }
 
 }  // namespace astro::stream

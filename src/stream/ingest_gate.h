@@ -6,10 +6,10 @@
 // The fused split calls admit() for every tuple before routing it, on the
 // thread that produced the tuple — the source, or the transport downlink
 // (operator fusion: no thread hop, no queue).  Accepted tuples go on,
-// possibly repaired in place; rejects go to the dead-letter channel with
-// their typed reason.  accepted + quarantined == tuples_in, always.  The
-// accept path is allocation-free, and the DLQ push never blocks: a full
-// DLQ counts the loss in `dlq_overflow()` instead.
+// possibly repaired in place; rejects are recorded in the dead-letter
+// recorder with their typed reason, on the same thread.  accepted +
+// quarantined == tuples_in, always.  The accept path is allocation-free,
+// and recording a reject never waits on a consumer and never drops one.
 
 #include <array>
 #include <atomic>
@@ -17,7 +17,8 @@
 
 #include "spectra/validate.h"
 #include "stream/dead_letter.h"
-#include "stream/operator.h"
+#include "stream/metrics.h"
+#include "stream/recorder.h"
 #include "stream/tuple_arena.h"
 
 namespace astro::stream {
@@ -27,12 +28,12 @@ class IngestGate {
   static constexpr std::size_t kReasonCount =
       std::size_t(spectra::RejectReason::kCount);
 
-  /// `dlq` may be null: rejects are then counted and discarded.  With an
-  /// `arena` (may be null) a reject is *copied* into the DLQ (the rare path
-  /// may allocate) and its leased slab returns to the pool instead of
-  /// leaking into the DLQ retention buffer.
-  IngestGate(ChannelPtr<DeadLetter> dlq, spectra::ValidationPolicy policy,
-             TupleArena* arena = nullptr);
+  /// `dead_letters` (non-owning) may be null: rejects are then counted and
+  /// discarded.  The recorder keeps a *copy* of each reject (the rare path
+  /// may allocate while its ring fills); with an `arena` (may be null) the
+  /// reject's leased slab then returns to the pool.
+  IngestGate(Recorder<DeadLetter>* dead_letters,
+             spectra::ValidationPolicy policy, TupleArena* arena = nullptr);
 
   /// Validates `t` in place.  True: accepted (possibly repaired), route it.
   /// False: quarantined, and `t` is consumed.  One calling thread only.
@@ -40,9 +41,8 @@ class IngestGate {
 
   /// Starts the gate's active window, on the admitting thread.
   void open() noexcept { metrics_.mark_start(); }
-  /// Ends the window and closes the dead-letter channel, after the last
-  /// admit(): the admitting thread is the DLQ's last producer.
-  void close();
+  /// Ends the window, after the last admit().
+  void close() noexcept { metrics_.mark_stop(); }
 
   // --- live counters (any thread) ----------------------------------------
   [[nodiscard]] std::uint64_t accepted() const noexcept {
@@ -59,10 +59,6 @@ class IngestGate {
   [[nodiscard]] std::uint64_t repaired_pixels() const noexcept {
     return repaired_pixels_.load(std::memory_order_relaxed);
   }
-  /// Rejects lost because the dead-letter channel was full/closed.
-  [[nodiscard]] std::uint64_t dlq_overflow() const noexcept {
-    return dlq_overflow_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::uint64_t quarantined_for(
       spectra::RejectReason r) const noexcept {
     return by_reason_[std::size_t(r)].load(std::memory_order_relaxed);
@@ -75,7 +71,7 @@ class IngestGate {
  private:
   void quarantine(DataTuple& t, spectra::RejectReason reason);
 
-  ChannelPtr<DeadLetter> dlq_;
+  Recorder<DeadLetter>* dead_letters_;  // non-owning; null = discard
   spectra::ValidationPolicy policy_;
   TupleArena* arena_;  // non-owning; null = heap payloads
   OperatorMetrics metrics_;
@@ -83,7 +79,6 @@ class IngestGate {
   std::atomic<std::uint64_t> quarantined_{0};
   std::atomic<std::uint64_t> repaired_{0};
   std::atomic<std::uint64_t> repaired_pixels_{0};
-  std::atomic<std::uint64_t> dlq_overflow_{0};
   std::array<std::atomic<std::uint64_t>, kReasonCount> by_reason_{};
 };
 

@@ -128,15 +128,12 @@ void SessionServer::reject_protocol(std::size_t bytes) {
 }
 
 void SessionServer::quarantine(std::uint64_t seq) {
-  if (!dlq_) return;
-  DeadLetter dl;
-  dl.tuple.seq = seq;
-  dl.reason = spectra::RejectReason::kCorruptFrame;
-  if (dlq_->try_push(dl)) {
-    dead_letters_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    dead_letter_overflow_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (dead_letters_ == nullptr) return;
+  DeadLetter husk;
+  husk.tuple.seq = seq;
+  husk.reason = spectra::RejectReason::kCorruptFrame;
+  dead_letters_->record(husk, husk.tuple.wire_bytes());
+  husks_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SessionServer::open_session(std::uint64_t at) {
@@ -160,9 +157,7 @@ SessionServerCounters SessionServer::session_counters() const noexcept {
   c.sessions = sessions_.load(std::memory_order_relaxed);
   c.resumes = resumes_.load(std::memory_order_relaxed);
   c.byes = byes_.load(std::memory_order_relaxed);
-  c.dead_letters = dead_letters_.load(std::memory_order_relaxed);
-  c.dead_letter_overflow =
-      dead_letter_overflow_.load(std::memory_order_relaxed);
+  c.dead_letters = husks_.load(std::memory_order_relaxed);
   return c;
 }
 

@@ -30,6 +30,7 @@
 #include "io/frame.h"
 #include "stream/dead_letter.h"
 #include "stream/operator.h"
+#include "stream/recorder.h"
 #include "stream/split.h"
 #include "stream/tuple_arena.h"
 
@@ -53,8 +54,7 @@ struct SessionServerCounters {
   std::uint64_t sessions = 0;         ///< sessions opened (HELLOs, attaches)
   std::uint64_t resumes = 0;          ///< sessions opened past seq 0
   std::uint64_t byes = 0;             ///< clean end-of-stream markers seen
-  std::uint64_t dead_letters = 0;     ///< husks forwarded to the DLQ
-  std::uint64_t dead_letter_overflow = 0;  ///< husks a full DLQ refused
+  std::uint64_t dead_letters = 0;     ///< husks recorded as dead letters
 };
 
 /// The sender's run loop.  A carrier supplies the I/O through the hooks
@@ -110,10 +110,11 @@ class SessionSink : public Operator {
 /// progress back to the sender.
 class SessionServer : public Operator {
  public:
-  /// Forwards rejected frames to a dead-letter channel as husks with
-  /// reason kCorruptFrame (non-blocking; overflow is counted).  Call
-  /// before start().
-  void set_dead_letters(ChannelPtr<DeadLetter> dlq) { dlq_ = std::move(dlq); }
+  /// Records rejected frames in `dead_letters` (non-owning) as husks with
+  /// reason kCorruptFrame, on the receive thread.  Call before start().
+  void set_dead_letters(Recorder<DeadLetter>* dead_letters) noexcept {
+    dead_letters_ = dead_letters;
+  }
 
   /// Durable session resume, read once as the receiver starts: returns the
   /// highest transport seq the application already applied durably (e.g.
@@ -158,10 +159,10 @@ class SessionServer : public Operator {
   /// A frame whose header cannot be trusted: counted in, dropped, and a
   /// protocol error.  The carrier decides whether it has a seq to husk.
   void reject_protocol(std::size_t bytes);
-  /// Forwards a husk carrying `seq` to the dead-letter channel.  Nothing
-  /// in a rejected frame can be trusted except its arrival, so the husk
-  /// holds only the claimed seq.  Non-blocking: a full DLQ never stalls
-  /// the receive loop.
+  /// Records a husk carrying `seq` as a dead letter.  Nothing in a
+  /// rejected frame can be trusted except its arrival, so the husk holds
+  /// only the claimed seq.  Recording never waits on a consumer, so it
+  /// never stalls the receive loop.
   void quarantine(std::uint64_t seq);
 
   /// Counts a session opened at resume point `at`.
@@ -182,7 +183,7 @@ class SessionServer : public Operator {
  private:
   DataEdge out_;
   DataTuple staging_;  // recycled decode target
-  ChannelPtr<DeadLetter> dlq_;
+  Recorder<DeadLetter>* dead_letters_ = nullptr;
   std::function<std::uint64_t()> resume_point_;
   std::function<std::uint64_t()> applied_watermark_;
 
@@ -193,8 +194,7 @@ class SessionServer : public Operator {
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> sessions_{0};
   std::atomic<std::uint64_t> resumes_{0};
-  std::atomic<std::uint64_t> dead_letters_{0};
-  std::atomic<std::uint64_t> dead_letter_overflow_{0};
+  std::atomic<std::uint64_t> husks_{0};
 };
 
 }  // namespace astro::stream

@@ -22,7 +22,7 @@
 //   kLeastLoaded— always shortest queue.
 //
 // With an IngestGate attached (set_gate) each tuple is validated before it
-// is routed, and close() closes the gate's DLQ after the engine ports.
+// is routed; a reject is recorded as a dead letter on the same thread.
 
 #include <cstdint>
 #include <vector>
@@ -56,8 +56,8 @@ class SplitRouter {
   /// only when the target and the least-loaded port are both full.  A
   /// closed port's refusal (stop, abandoned engine) counts as dropped.
   void route(DataTuple t);
-  /// After the producer's last route(): closes the engine ports, then the
-  /// gate's DLQ, and ends the active window.
+  /// After the producer's last route(): closes the engine ports and ends
+  /// the split's (and the gate's) active window.
   void close();
 
   /// Tuples routed to each output (sampled live).

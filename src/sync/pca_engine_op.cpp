@@ -33,7 +33,7 @@ PcaEngineOperator::PcaEngineOperator(
     stream::ChannelPtr<ControlTuple> control_in,
     std::shared_ptr<StateExchange> exchange,
     std::vector<stream::ChannelPtr<ControlTuple>> peer_control,
-    IndependencePolicy policy, stream::ChannelPtr<DataTuple> outlier_out,
+    IndependencePolicy policy, stream::Recorder<DataTuple>* outliers,
     EngineFaultOptions fault_options, std::size_t batch_max)
     : Operator(std::move(name)),
       id_(engine_id),
@@ -44,7 +44,7 @@ PcaEngineOperator::PcaEngineOperator(
       exchange_(std::move(exchange)),
       peer_control_(std::move(peer_control)),
       policy_(policy),
-      outlier_out_(std::move(outlier_out)),
+      outliers_(outliers),
       fault_(std::move(fault_options)),
       batch_max_(batch_max == 0 ? 1 : batch_max),
       controller_(stream::AdaptiveBatchController::Config{
@@ -249,7 +249,7 @@ void PcaEngineOperator::recover() {
     ++stats_.tuples;
     ++since_last_sync_;
     if (rep.outlier) ++stats_.outliers;
-    // Replay is silent: outliers were already forwarded by the incarnation
+    // Replay is silent: outliers were already recorded by the incarnation
     // that first applied these tuples (data-plane metrics count pops, and
     // replayed tuples were popped exactly once).
   }
@@ -498,21 +498,15 @@ void PcaEngineOperator::run_loop() {
     for (std::size_t i = 0; i < nb; ++i) {
       metrics_.record_proc_ns(batch_ns / nb);
     }
-    if (outlier_out_ != nullptr) {
+    if (outliers_ != nullptr) {
       for (std::size_t i = 0; i < nb; ++i) {
         if (!batch_reports_[i].outlier) continue;
         const std::size_t bytes = batch_[i].wire_bytes();
-        const std::uint64_t t_push = stream::OperatorMetrics::now_ns();
-        if (outlier_out_->push(std::move(batch_[i]))) {
-          metrics_.record_push_wait_ns(stream::OperatorMetrics::now_ns() -
-                                       t_push);
-          metrics_.record_out(bytes);
-        }
+        outliers_->record(batch_[i], bytes);
+        metrics_.record_out(bytes);
       }
     }
-    // Applied payloads go back to the pool; forwarded outliers left by
-    // move, so the sweep skips their husks (their slabs leave the pipeline
-    // with them — the arena regrows on demand).
+    // Every payload goes back to the pool: a recorded outlier is a copy.
     if (arena_) arena_->release_all(batch_);
     // Hand the processor over periodically.  Batched draining made the
     // engine CPU-hungry in long stretches; on a box with fewer cores than
@@ -531,8 +525,6 @@ void PcaEngineOperator::run_loop() {
       std::this_thread::yield();
     }
   }
-  // Note: the outlier channel is shared by every engine; the pipeline (its
-  // owner) closes it once all engines have drained.
   set_stop_reason(stop_requested() ? stream::StopReason::kRequested
                                    : stream::StopReason::kUpstreamClosed);
 }

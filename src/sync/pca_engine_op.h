@@ -11,8 +11,8 @@
 //   - as *receiver*: fetch the sender's snapshot, check the independence
 //                    policy, and install merge(local, remote).
 //
-// Optional outlier port: tuples the robust weighting rejected, forwarded
-// for further processing (the paper's filtering use case).
+// Optional outlier recorder: tuples the robust weighting rejected, copied
+// out for further processing (the paper's filtering use case).
 //
 // Fault tolerance (beyond the paper — see DESIGN.md "Fault tolerance"):
 // when EngineFaultOptions carries a checkpoint store, every popped tuple is
@@ -51,6 +51,7 @@
 #include "stream/fault.h"
 #include "stream/histogram.h"
 #include "stream/operator.h"
+#include "stream/recorder.h"
 #include "stream/tuple_arena.h"
 #include "sync/checkpoint_store.h"
 #include "sync/exchange.h"
@@ -104,7 +105,7 @@ class PcaEngineOperator final : public stream::Operator {
                     std::vector<stream::ChannelPtr<stream::ControlTuple>>
                         peer_control,
                     IndependencePolicy policy,
-                    stream::ChannelPtr<stream::DataTuple> outlier_out = nullptr,
+                    stream::Recorder<stream::DataTuple>* outliers = nullptr,
                     EngineFaultOptions fault_options = {},
                     std::size_t batch_max = 1);
 
@@ -212,7 +213,7 @@ class PcaEngineOperator final : public stream::Operator {
   std::shared_ptr<StateExchange> exchange_;
   std::vector<stream::ChannelPtr<stream::ControlTuple>> peer_control_;
   IndependencePolicy policy_;
-  stream::ChannelPtr<stream::DataTuple> outlier_out_;
+  stream::Recorder<stream::DataTuple>* outliers_;  // non-owning, may be null
   EngineFaultOptions fault_;
 
   /// Micro-batching (DESIGN.md "Micro-batching"): cap on tuples absorbed
@@ -228,9 +229,8 @@ class PcaEngineOperator final : public stream::Operator {
   /// Mirror of the controller's target for observability reads (metrics
   /// extras, tests); the controller itself is single-threaded state.
   std::atomic<std::size_t> adaptive_batch_{1};
-  /// Payload arena (non-owning, may be null).  Drained batch payloads are
-  /// released back after apply; forwarded outliers leave by move and are
-  /// skipped by the release sweep.
+  /// Payload arena (non-owning, may be null).  Every drained batch payload
+  /// is released back after apply; a recorded outlier is a copy.
   stream::TupleArena* arena_ = nullptr;
   std::vector<stream::DataTuple> batch_;              // drained, pre-guard
   std::vector<const linalg::Vector*> batch_xs_;       // contiguous run view

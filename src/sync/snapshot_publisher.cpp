@@ -10,12 +10,12 @@ namespace astro::sync {
 
 SnapshotPublisher::SnapshotPublisher(std::string name,
                                      std::vector<PcaEngineOperator*> engines,
-                                     stream::ChannelPtr<SnapshotTuple> out,
+                                     stream::Recorder<SnapshotTuple>* feed,
                                      double interval_seconds,
                                      serve::SnapshotServer* server)
     : Operator(std::move(name)),
       engines_(std::move(engines)),
-      out_(std::move(out)),
+      feed_(feed),
       interval_seconds_(interval_seconds),
       server_(server) {}
 
@@ -60,6 +60,28 @@ void SnapshotPublisher::publish_to_server() {
   server_->publish(pca::merge(eligible), -1, now_us);
 }
 
+void SnapshotPublisher::record_feed() {
+  const auto now_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now().time_since_epoch())
+                          .count();
+  for (PcaEngineOperator* engine : engines_) {
+    const std::uint64_t t_build = stream::OperatorMetrics::now_ns();
+    const pca::EigenSystem state = engine->snapshot();
+    if (!state.initialized()) continue;
+    SnapshotTuple t;
+    t.timestamp_us = now_us;
+    t.engine = engine->engine_id();
+    t.observations = state.observations();
+    t.eigenvalues = state.eigenvalues();
+    t.sigma2 = state.sigma2();
+    t.retained_variance = state.retained_variance();
+    t.outliers = engine->stats().outliers;
+    feed_->record(t);
+    metrics_.record_proc_ns(stream::OperatorMetrics::now_ns() - t_build);
+    metrics_.record_out();
+  }
+}
+
 void SnapshotPublisher::run() {
   using Clock = std::chrono::steady_clock;
   const auto started = Clock::now();
@@ -74,36 +96,9 @@ void SnapshotPublisher::run() {
     // interval and the parked publisher costs no polling wakeups.
     if (wait_until_stopped(due)) break;
     ++round;
-
-    const auto now_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            Clock::now().time_since_epoch())
-            .count();
-    for (PcaEngineOperator* engine : engines_) {
-      const std::uint64_t t_build = stream::OperatorMetrics::now_ns();
-      const pca::EigenSystem state = engine->snapshot();
-      if (!state.initialized()) continue;
-      SnapshotTuple t;
-      t.timestamp_us = now_us;
-      t.engine = engine->engine_id();
-      t.observations = state.observations();
-      t.eigenvalues = state.eigenvalues();
-      t.sigma2 = state.sigma2();
-      t.retained_variance = state.retained_variance();
-      t.outliers = engine->stats().outliers;
-      const std::uint64_t t_push = stream::OperatorMetrics::now_ns();
-      metrics_.record_proc_ns(t_push - t_build);
-      if (!out_->push(std::move(t))) {
-        out_->close();
-        set_stop_reason(stream::StopReason::kUpstreamClosed);
-        return;
-      }
-      metrics_.record_push_wait_ns(stream::OperatorMetrics::now_ns() - t_push);
-      metrics_.record_out();
-    }
+    if (feed_ != nullptr) record_feed();
     if (server_ != nullptr) publish_to_server();
   }
-  out_->close();
   set_stop_reason(stream::StopReason::kRequested);
 }
 

@@ -6,9 +6,11 @@
 // result of analysis".
 //
 // SnapshotPublisher is an operator that samples every PCA engine at a fixed
-// interval and emits a compact summary tuple per engine — a live feed of
-// the converging solution that downstream consumers (dashboards, steering
-// logic, the examples) read like any other stream.
+// interval.  With a snapshot recorder attached it records a compact
+// summary tuple per engine — a live feed of the converging solution that
+// downstream consumers (dashboards, steering logic, the examples) read
+// from the recorder's retained window.  Without one it builds no summary
+// at all, so a serve-only publisher takes no extra engine state locks.
 //
 // With a serve::SnapshotServer attached, the same sampling loop is also the
 // serving layer's WRITER (DESIGN.md "Serving layer"): each round it merges
@@ -30,6 +32,7 @@
 #include "pca/eigensystem.h"
 #include "serve/snapshot_server.h"
 #include "stream/operator.h"
+#include "stream/recorder.h"
 #include "sync/pca_engine_op.h"
 
 namespace astro::sync {
@@ -47,14 +50,14 @@ struct SnapshotTuple {
 
 class SnapshotPublisher final : public stream::Operator {
  public:
-  /// Samples `engines` every `interval_seconds` and pushes one
-  /// SnapshotTuple per engine per round.  Stops when its output closes or
-  /// stop is requested (the pipeline requests stop at shutdown).  With
-  /// `server` non-null, each round additionally publishes the merged
-  /// healthy-engine eigensystem as a new served version.
+  /// Samples `engines` every `interval_seconds` until stop is requested
+  /// (the pipeline requests stop at shutdown).  With `feed` non-null
+  /// (non-owning) each round records one SnapshotTuple per initialized
+  /// engine; with `server` non-null it publishes the merged healthy-engine
+  /// eigensystem as a new served version.
   SnapshotPublisher(std::string name,
                     std::vector<PcaEngineOperator*> engines,
-                    stream::ChannelPtr<SnapshotTuple> out,
+                    stream::Recorder<SnapshotTuple>* feed,
                     double interval_seconds,
                     serve::SnapshotServer* server = nullptr);
 
@@ -65,9 +68,11 @@ class SnapshotPublisher final : public stream::Operator {
   /// Merge the healthy engines' snapshots into the served version for this
   /// round; a round with no eligible engine is counted as suppressed.
   void publish_to_server();
+  /// Records one SnapshotTuple per initialized engine.
+  void record_feed();
 
   std::vector<PcaEngineOperator*> engines_;
-  stream::ChannelPtr<SnapshotTuple> out_;
+  stream::Recorder<SnapshotTuple>* feed_;
   double interval_seconds_;
   serve::SnapshotServer* server_;
 };

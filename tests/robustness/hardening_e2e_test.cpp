@@ -1,12 +1,15 @@
 // End-to-end data-plane hardening scenarios: seeded corruption on the wire,
-// the split's ingest gate + dead-letter queue in front of the engines, and the
-// numerical-health watchdog behind them.  Every count is asserted through
-// the metrics-registry JSON export — the surface an operator would watch.
+// the split's ingest gate + dead-letter recorder in front of the engines,
+// and the numerical-health watchdog behind them.  Every count is asserted
+// through the metrics-registry JSON export — the surface an operator would
+// watch.
 //
 // The acceptance invariants (DESIGN.md "Data-plane robustness"):
 //
 //   accepted + quarantined == ingested             (validator)
-//   dead_letters == quarantined - dlq_overflow     (sink vs validator)
+//   dead_letters == quarantined + CRC husks        (recorder vs validator;
+//                                                   no transport here, so
+//                                                   no husks)
 //   dead_letters == corruptions_injected           (repair off: every
 //                                                   corrupt tuple rejected)
 //   tuples_in == data_tuples + dropped + replay_quarantined   (engines)
@@ -50,7 +53,7 @@ std::map<std::string, const JsonValue*> index_by_name(const JsonValue& arr) {
   return out;
 }
 
-/// Strict no-repair policy: every injected defect must land in the DLQ, so
+/// Strict no-repair policy: every injected defect must be a dead letter, so
 /// dead_letters == corruptions_injected holds exactly.
 void configure_strict_validation(PipelineConfig& cfg) {
   cfg.validate_ingest = true;
@@ -101,7 +104,8 @@ TEST(DataHardening, CleanStreamPassesValidationUntouched) {
   ASSERT_TRUE(queues.count("chan.source->validate"));
   // Validation runs inside the split stage: no queue between the two.
   EXPECT_FALSE(queues.count("chan.validate->split"));
-  ASSERT_TRUE(queues.count("chan.validate->dlq"));
+  // Rejects are recorded on the gate's thread: no dead-letter queue.
+  EXPECT_FALSE(queues.count("chan.validate->dlq"));
   EXPECT_EQ(ops.at("validate")->at("extras").num("accepted"), double(kTuples));
   EXPECT_EQ(ops.at("validate")->num("tuples_out"), double(kTuples));
   EXPECT_EQ(ops.at("split")->num("tuples_in"), double(kTuples));
@@ -153,7 +157,6 @@ TEST(DataHardening, SeededCorruptionFullyQuarantinedAcrossFourEngines) {
   EXPECT_EQ(vx.num("accepted") + vx.num("quarantined"), double(kTuples));
   // ...and with repair off, the quarantine is exactly the injection set.
   EXPECT_EQ(vx.num("quarantined"), double(injected));
-  EXPECT_EQ(vx.num("dlq_overflow"), 0.0);
   EXPECT_EQ(ops.at("dead-letter")->at("extras").num("dead_letters"),
             double(injected));
 

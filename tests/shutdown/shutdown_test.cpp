@@ -317,40 +317,49 @@ TEST(ShutdownFusedSplit, TcpDownlinkParkedOnAFullEngineQueueStops) {
 TEST(ShutdownValidate, StopMidStreamWithValidationJoinsPromptly) {
   // An endless, unthrottled stream with ingest validation on: every queue
   // is full, the split (running the gate) is parked in a push or a pop,
-  // and every 50th tuple is NaN-poisoned so the dead-letter sink is busy
-  // too.  stop() must unpark all of them and wait() must join the whole
-  // graph, the dead-letter sink included, within the stop bound.
-  app::PipelineConfig cfg;
-  cfg.pca.dim = 12;
-  cfg.pca.rank = 2;
-  cfg.engines = 2;
-  cfg.sync_rate_hz = 2.0;
-  cfg.validate_ingest = true;
-  cfg.validation.nonfinite_as_masked = false;
-  stats::Rng rng(7100);
-  const auto model = pca::testing::make_model(rng, 12, 2, 2.0, 0.05);
-  std::uint64_t k = 0;
-  app::StreamingPcaPipeline p(
-      cfg, stream::GeneratorSource::Generator(
-               [&]() -> std::optional<linalg::Vector> {
-                 linalg::Vector x = pca::testing::draw(model, rng);
-                 if (k++ % 50 == 49) x[3] = std::nan("");
-                 return x;
-               }));
-  p.start();
-  ASSERT_TRUE(poll_until([&] {
-    return p.validator()->accepted() > 6000 &&
-           p.dead_letters()->count() > 10;
-  }));
+  // and every 50th tuple is NaN-poisoned so the dead-letter recorder is
+  // busy too.  stop() must unpark all of them and wait() must join the
+  // whole graph within the stop bound.  The second input also records
+  // outliers and the snapshot feed: no recorder may leave a producer
+  // parked.
+  for (const bool record_all : {false, true}) {
+    SCOPED_TRACE(record_all ? "every recorder live" : "dead letters only");
+    app::PipelineConfig cfg;
+    cfg.pca.dim = 12;
+    cfg.pca.rank = 2;
+    cfg.engines = 2;
+    cfg.sync_rate_hz = 2.0;
+    cfg.validate_ingest = true;
+    cfg.validation.nonfinite_as_masked = false;
+    if (record_all) {
+      cfg.collect_outliers = true;
+      cfg.snapshot_interval_seconds = 0.01;
+    }
+    stats::Rng rng(7100);
+    const auto model = pca::testing::make_model(rng, 12, 2, 2.0, 0.05);
+    std::uint64_t k = 0;
+    app::StreamingPcaPipeline p(
+        cfg, stream::GeneratorSource::Generator(
+                 [&]() -> std::optional<linalg::Vector> {
+                   linalg::Vector x = pca::testing::draw(model, rng);
+                   if (k++ % 50 == 49) x[3] = std::nan("");
+                   return x;
+                 }));
+    p.start();
+    ASSERT_TRUE(poll_until([&] {
+      return p.validator()->accepted() > 6000 &&
+             p.dead_letters()->count() > 10;
+    }));
 
-  const auto t0 = Clock::now();
-  p.stop();
-  p.wait();
-  const auto took = Clock::now() - t0;
-  EXPECT_LT(took, kStopBound) << "stop + wait took " << ms(took) << " ms";
-  // Every tuple the gate saw was either accepted or quarantined.
-  EXPECT_EQ(p.validator()->accepted() + p.validator()->quarantined(),
-            p.validator()->metrics().tuples_in());
+    const auto t0 = Clock::now();
+    p.stop();
+    p.wait();
+    const auto took = Clock::now() - t0;
+    EXPECT_LT(took, kStopBound) << "stop + wait took " << ms(took) << " ms";
+    // Every tuple the gate saw was either accepted or quarantined.
+    EXPECT_EQ(p.validator()->accepted() + p.validator()->quarantined(),
+              p.validator()->metrics().tuples_in());
+  }
 }
 
 // The stream's last tuple is due at n / 1000 s, so the lengths below end it

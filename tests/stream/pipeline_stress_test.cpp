@@ -155,7 +155,7 @@ TEST(PipelineStress, MetricsJsonConservationInvariants) {
   cfg.metrics_sample_interval_seconds = 0.005;
 
   // Inject occasional large spikes so the robust weighting has outliers to
-  // reject (exercises the engines->outliers channel accounting too).
+  // reject (exercises the outlier recorder's accounting too).
   auto data = make_data(kTuples, 937);
   for (std::size_t i = 50; i < data.size(); i += 50) {
     for (std::size_t j = 0; j < data[i].size(); ++j) data[i][j] *= 25.0;
@@ -219,7 +219,6 @@ TEST(PipelineStress, MetricsJsonConservationInvariants) {
     EXPECT_EQ(queues.at("chan.split->pca-" + std::to_string(i))->num("depth"),
               0.0);
   }
-  EXPECT_EQ(queues.at("chan.engines->outliers")->num("depth"), 0.0);
 
   // The sync plane ran: the controller issued rounds and engines tallied
   // control traffic outside the data-plane counters.
@@ -269,6 +268,44 @@ TEST(PipelineStress, DefaultArenaNeverGrowsOverAFullRun) {
   std::uint64_t applied = 0;
   for (const auto& s : p.engine_stats()) applied += s.tuples;
   EXPECT_EQ(applied, 20000u);
+}
+
+// ---------------------------------------------------------------------------
+// Collected outliers are copies in a bounded ring: the retained window stays
+// at dead_letter_retained however many outliers two engines record
+// concurrently, every recorded one is counted, and each outlier's slab goes
+// back to the arena, so the default pool never grows.
+
+TEST(PipelineStress, CollectedOutliersStayBoundedAndArenaNeverGrows) {
+  constexpr std::size_t kTuples = 16000;
+  PipelineConfig cfg;
+  cfg.pca.dim = 12;
+  cfg.pca.rank = 2;
+  cfg.engines = 2;
+  cfg.channel_capacity = 8;  // default arena: 2 x 8 + 2 x (1 + 4) + 64 slabs
+  cfg.sync_rate_hz = 0.0;
+  cfg.collect_outliers = true;
+  cfg.dead_letter_retained = 16;
+
+  auto data = make_data(kTuples, 959);
+  std::size_t spikes = 0;
+  for (std::size_t i = 50; i < data.size(); i += 50, ++spikes) {
+    for (std::size_t j = 0; j < data[i].size(); ++j) data[i][j] *= 25.0;
+  }
+  ASSERT_GE(spikes, 300u);
+
+  StreamingPcaPipeline p(cfg, data);
+  p.run();
+
+  std::uint64_t flagged = 0;
+  for (const auto& s : p.engine_stats()) flagged += s.outliers;
+  EXPECT_GT(flagged, cfg.dead_letter_retained) << "the bound never bit";
+  EXPECT_LE(p.outliers().size(), cfg.dead_letter_retained);
+
+  const JsonValue root = JsonParser::parse(p.metrics_json());
+  const auto ops = index_by_name(root.at("operators"));
+  EXPECT_EQ(ops.at("outliers")->num("tuples_in"), double(flagged));
+  EXPECT_EQ(ops.at("source")->at("extras").num("arena_grown"), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -66,9 +66,15 @@ TEST(SnapshotPublisher, DisabledByDefault) {
   cfg.pca.dim = 12;
   cfg.pca.rank = 2;
   cfg.engines = 2;
-  app::StreamingPcaPipeline pipeline(cfg, data);
-  pipeline.run();
-  EXPECT_TRUE(pipeline.snapshots().empty());
+  cfg.source_rate = 5000.0;  // ~0.1 s run: several publish rounds
+  cfg.serve.publish_interval_seconds = 0.01;
+  for (const bool serve : {false, true}) {
+    // Serving alone runs the publisher as the writer, but builds no feed.
+    cfg.serve.enabled = serve;
+    app::StreamingPcaPipeline pipeline(cfg, data);
+    pipeline.run();
+    EXPECT_TRUE(pipeline.snapshots().empty()) << "serve " << serve;
+  }
 }
 
 TEST(SnapshotPublisher, StopsPromptlyWithPipeline) {

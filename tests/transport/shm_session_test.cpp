@@ -117,11 +117,11 @@ TEST(ShmSession, CorruptSlotsQuarantineWithExactConservation) {
 
   auto in = make_channel<DataTuple>(64);
   auto out = make_channel<DataTuple>(64);
-  auto dlq = make_channel<DeadLetter>(64);
+  Recorder<DeadLetter> dead(64);
   const std::string seg = unique_segment("corrupt");
   ShmTupleSink sink("uplink", seg, in, opts);
   ShmTupleServer server("downlink", seg, out, opts);
-  server.set_dead_letters(dlq);
+  server.set_dead_letters(&dead);
   server.start();
   sink.start();
 
@@ -130,7 +130,6 @@ TEST(ShmSession, CorruptSlotsQuarantineWithExactConservation) {
   feeder.join();
   sink.join();
   server.join();
-  dlq->close();
 
   // Conservation: every committed frame is either delivered or a counted
   // quarantined husk — nothing vanishes, nothing doubles.
@@ -150,8 +149,7 @@ TEST(ShmSession, CorruptSlotsQuarantineWithExactConservation) {
 
   // The husks carry the claimed transport seqs, typed kCorruptFrame.
   std::vector<std::uint64_t> husk_seqs;
-  DeadLetter dl;
-  while (dlq->pop(dl)) {
+  for (const DeadLetter& dl : dead.retained()) {
     EXPECT_EQ(dl.reason, spectra::RejectReason::kCorruptFrame);
     husk_seqs.push_back(dl.tuple.seq);
   }
@@ -174,9 +172,9 @@ TEST(ShmSession, CorruptSlotsQuarantineWithExactConservation) {
 TEST(ShmSession, MalformedBodiesAndFullDeadLettersNeverBlock) {
   // Frames staged by hand: one CRC-valid kTuple frame whose body is
   // malformed, then frames damaged after their CRC was computed.  Every
-  // one is rejected; the dead-letter channel holds one husk and nobody
-  // drains it, so the rest overflow, counted, while the consumer keeps
-  // going until the bye.
+  // one is rejected; the dead-letter recorder retains one husk, the
+  // newest, and counts them all, while the consumer keeps going until the
+  // bye.
   constexpr std::size_t kDamaged = 3;
   ShmTransportOptions opts;
   opts.ring_capacity = 8;
@@ -201,9 +199,9 @@ TEST(ShmSession, MalformedBodiesAndFullDeadLettersNeverBlock) {
   prod.set_bye();
 
   auto out = make_channel<DataTuple>(16);
-  auto dlq = make_channel<DeadLetter>(1);
+  Recorder<DeadLetter> dead(1);
   ShmTupleServer server("downlink", seg, out, opts);
-  server.set_dead_letters(dlq);
+  server.set_dead_letters(&dead);
   server.start();
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server.counters().byes == 0 &&
@@ -217,10 +215,10 @@ TEST(ShmSession, MalformedBodiesAndFullDeadLettersNeverBlock) {
   EXPECT_EQ(vc.payload_rejects, 1u);
   EXPECT_EQ(vc.crc_rejects, kDamaged);
   EXPECT_EQ(vc.quarantined, 1 + kDamaged);
-  EXPECT_EQ(vc.dead_letters, 1u);
-  EXPECT_GT(vc.dead_letter_overflow, 0u);
-  EXPECT_EQ(vc.dead_letters + vc.dead_letter_overflow,
-            vc.crc_rejects + vc.payload_rejects);
+  EXPECT_EQ(vc.dead_letters, vc.crc_rejects + vc.payload_rejects);
+  EXPECT_EQ(dead.count(spectra::RejectReason::kCorruptFrame), vc.dead_letters);
+  ASSERT_EQ(dead.retained().size(), 1u);
+  EXPECT_EQ(dead.retained().front().tuple.seq, 1 + kDamaged);
   EXPECT_EQ(vc.delivered, 0u);
   EXPECT_EQ(out->size(), 0u) << "a rejected frame was delivered";
   EXPECT_EQ(prod.tail(), prod.head()) << "husks must free their slots";

@@ -34,6 +34,7 @@
 #include "stream/dead_letter.h"
 #include "stream/fault.h"
 #include "stream/graph.h"
+#include "stream/recorder.h"
 #include "stream/sink.h"
 #include "stream/source.h"
 
@@ -135,32 +136,26 @@ TEST(TransportSession, CrcRejectQuarantinedThenHealedByRetransmit) {
   auto fault = std::make_shared<FaultInjector>(12);
   // Damage one payload byte of data frame 5 in flight.  The header stays
   // intact, so the receiver sees a well-framed message whose CRC32C fails:
-  // it must quarantine the frame (DLQ, typed reason), never apply it, and
-  // never ack it — the sender's resume replays it clean.
+  // it must quarantine the frame (dead letter, typed reason), never apply
+  // it, and never ack it — the sender's resume replays it clean.
   fault->flip_at(0, frame_offset(5, 40), 0x20);
 
   auto to_sink = make_channel<DataTuple>(64);
   auto from_server = make_channel<DataTuple>(64);
-  auto dlq = make_channel<DeadLetter>(16);
+  Recorder<DeadLetter> dead(16);
   FlowGraph graph;
   TcpServerOptions sopts;
   sopts.ack_every = 4;
   sopts.exit_on_bye = true;
   auto* server =
       graph.add<TcpTupleServer>("server", 0, from_server, 0, sopts);
-  server->set_dead_letters(dlq);
+  server->set_dead_letters(&dead);
   graph.add<ReplaySource>("replay", payload(kN), to_sink);
   auto* sink = graph.add<TcpTupleSink>("sink", server->port(), to_sink,
                                        fast_opts(fault));
   auto* collector = graph.add<CollectorSink<DataTuple>>("collect", from_server);
-  // Kept out of the graph: its channel only closes after everything else
-  // finished, so graph.wait() (which joins every member) must not include it.
-  DeadLetterSink dead("dlq", dlq);
-  dead.start();
   graph.start();
   graph.wait();
-  dlq->close();
-  dead.join();
 
   expect_exactly_once(collector->snapshot(), kN);
   EXPECT_EQ(fault->injected(Fault::kFlip), 1u);
@@ -184,16 +179,16 @@ TEST(TransportSession, CrcRejectQuarantinedThenHealedByRetransmit) {
 TEST(TransportSession, MalformedBodiesAndFullDeadLettersNeverBlock) {
   // A raw client speaks the wire protocol by hand: one CRC-valid kTuple
   // frame whose body is malformed, then frames damaged after their CRC was
-  // computed.  Every one is rejected; the dead-letter channel holds one
-  // husk and nobody drains it, so the rest overflow, counted, while the
-  // receive loop keeps going until the kBye.
+  // computed.  Every one is rejected; the dead-letter recorder retains one
+  // husk, the newest, and counts them all, while the receive loop keeps
+  // going until the kBye.
   constexpr std::size_t kDamaged = 3;
   auto out = make_channel<DataTuple>(16);
-  auto dlq = make_channel<DeadLetter>(1);
+  Recorder<DeadLetter> dead(1);
   TcpServerOptions sopts;
   sopts.exit_on_bye = true;
   TcpTupleServer server("server", 0, out, 1, sopts);
-  server.set_dead_letters(dlq);
+  server.set_dead_letters(&dead);
   server.start();
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -234,10 +229,10 @@ TEST(TransportSession, MalformedBodiesAndFullDeadLettersNeverBlock) {
   const TcpServerCounters s = server.counters();
   EXPECT_EQ(s.payload_rejects, 1u);
   EXPECT_EQ(s.crc_rejects, kDamaged);
-  EXPECT_EQ(s.dead_letters, 1u);
-  EXPECT_GT(s.dead_letter_overflow, 0u);
-  EXPECT_EQ(s.dead_letters + s.dead_letter_overflow,
-            s.crc_rejects + s.payload_rejects);
+  EXPECT_EQ(s.dead_letters, s.crc_rejects + s.payload_rejects);
+  EXPECT_EQ(dead.count(spectra::RejectReason::kCorruptFrame), s.dead_letters);
+  ASSERT_EQ(dead.retained().size(), 1u);
+  EXPECT_EQ(dead.retained().front().tuple.seq, 1 + kDamaged);
   EXPECT_EQ(s.delivered, 0u);
   EXPECT_EQ(out->size(), 0u) << "a rejected frame was delivered";
   const OperatorMetrics& m = server.metrics();
@@ -496,12 +491,10 @@ TEST(TransportSession, PipelineStageBehindTransportConserves) {
 }
 
 TEST(TransportSession, FusedGateSharesDeadLettersWithCrcHusks) {
-  // TCP transport + ingest validation: the split validates on its own
-  // thread, so the dead-letter channel has two producers — the downlink
-  // (husks of frames that failed their CRC) and the split (tuples the gate
-  // quarantined).  Every letter must arrive, and the dead-letter sink must
-  // exit once the split closes the channel behind the downlink's last
-  // husk.
+  // TCP transport + ingest validation: the split validates on the
+  // downlink's thread, so the dead-letter recorder has two callers — the
+  // downlink (husks of frames that failed their CRC) and the gate (tuples
+  // it quarantined).  Every letter must be counted, by reason.
   constexpr std::size_t kN = 600;
   constexpr std::size_t kDimP = 8;
   constexpr std::size_t kFrame =
@@ -528,29 +521,25 @@ TEST(TransportSession, FusedGateSharesDeadLettersWithCrcHusks) {
   cfg.transport.tcp = fast_opts(fault);
   app::StreamingPcaPipeline pipeline(cfg, std::move(data));
 
-  // run() joins every operator, the dead-letter sink included: a hang here
-  // is a DLQ nobody closed.
+  // run() joins every operator: a hang here is a stage nobody closed.
   auto run = std::async(std::launch::async, [&] { pipeline.run(); });
   const bool finished =
       run.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
   if (!finished) pipeline.stop();
   run.get();
   ASSERT_TRUE(finished) << "the pipeline did not drain";
-  EXPECT_EQ(pipeline.dead_letters()->stop_reason(), StopReason::kUpstreamClosed);
 
   const TcpServerCounters down = pipeline.transport_downlink()->counters();
   const TcpSinkCounters up = pipeline.transport_uplink()->counters();
   ASSERT_GE(fault->injected(Fault::kFlip), 1u);
   EXPECT_EQ(down.crc_rejects, fault->injected(Fault::kFlip));
   EXPECT_EQ(down.dead_letters, down.crc_rejects);
-  EXPECT_EQ(down.dead_letter_overflow, 0u);
   EXPECT_EQ(up.acked, kN);
   EXPECT_EQ(down.delivered, kN);
 
   const auto* gate = pipeline.validator();
   EXPECT_EQ(gate->quarantined(), poisoned);
   EXPECT_EQ(gate->quarantined_for(spectra::RejectReason::kNonFinite), poisoned);
-  EXPECT_EQ(gate->dlq_overflow(), 0u);
   const auto* dlq = pipeline.dead_letters();
   EXPECT_EQ(dlq->count(), down.dead_letters + gate->quarantined());
   EXPECT_EQ(dlq->count(spectra::RejectReason::kCorruptFrame), down.dead_letters);
