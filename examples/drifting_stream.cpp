@@ -1,20 +1,20 @@
-// Tracking a time-varying manifold (§II-B): exponential forgetting versus
-// the bucket-based sliding window, side by side, through an abrupt regime
+// Tracking a time-varying manifold (§II-B): infinite memory versus two
+// exponential forgetting factors, side by side, through an abrupt regime
 // change — e.g. an instrument change mid-survey, or a cluster workload
 // shift in the monitoring use case.
 //
 //   build/examples/drifting_stream
 //
 // Prints the affinity of each tracker to the *current* regime over time:
-// infinite memory never recovers, forgetting recovers smoothly with an
-// exponential tail, and the sliding window recovers completely once the
-// old regime has rolled out of its buckets.
+// infinite memory never recovers, and forgetting recovers with an
+// exponential tail whose length is set by alpha — the shorter memory
+// (alpha = 1 - 1/500) recovers first, the longer one (1 - 1/3000) averages
+// over more samples once it has.
 
 #include <cstdio>
 
 #include "pca/robust_pca.h"
 #include "pca/subspace.h"
-#include "pca/windowed.h"
 #include "stats/rng.h"
 
 using namespace astro;
@@ -54,45 +54,43 @@ int main() {
   frozen_cfg.reject_reset_threshold = 0;
   pca::RobustIncrementalPca frozen(frozen_cfg);
 
-  pca::RobustPcaConfig forget_cfg = frozen_cfg;
-  forget_cfg.alpha = 1.0 - 1.0 / 1500.0;  // the paper's damping factor
-  forget_cfg.reject_reset_threshold = 64;  // keep the valve: fast re-scale
-  pca::RobustIncrementalPca forgetting(forget_cfg);
-
-  pca::WindowedPcaConfig window_cfg;
-  window_cfg.dim = kDim;
-  window_cfg.rank = kRank;
-  window_cfg.window = 3000;
-  window_cfg.buckets = 6;
-  pca::SlidingWindowPca windowed(window_cfg);
+  // The paper's damping factor alpha = 1 - 1/N at two effective windows N.
+  // Keep the rejection-reset valve on both: after the switch it re-scales
+  // sigma^2 quickly instead of rejecting the new regime as outliers.
+  pca::RobustPcaConfig short_cfg = frozen_cfg;
+  short_cfg.alpha = 1.0 - 1.0 / 500.0;
+  short_cfg.reject_reset_threshold = 64;
+  pca::RobustIncrementalPca short_memory(short_cfg);
+  pca::RobustPcaConfig long_cfg = short_cfg;
+  long_cfg.alpha = 1.0 - 1.0 / 3000.0;
+  pca::RobustIncrementalPca long_memory(long_cfg);
 
   std::printf("Regime switch at sample %d.  Affinity to the CURRENT "
               "regime:\n\n",
               kSwitchAt);
   std::printf("%8s  %12s  %14s  %14s\n", "sample", "infinite",
-              "alpha=1-1/1500", "window=3000");
+              "alpha=1-1/500", "alpha=1-1/3000");
 
   for (int n = 1; n <= kTotal; ++n) {
     const linalg::Matrix& regime = n <= kSwitchAt ? regime_a : regime_b;
     const linalg::Vector x = draw(regime, rng);
     frozen.observe(x);
-    forgetting.observe(x);
-    windowed.observe(x);
+    short_memory.observe(x);
+    long_memory.observe(x);
 
     if (n % 1000 == 0) {
-      const auto w = windowed.eigensystem();
       std::printf("%8d  %12.4f  %14.4f  %14.4f%s\n", n,
                   pca::subspace_affinity(frozen.eigensystem().basis(), regime),
-                  pca::subspace_affinity(forgetting.eigensystem().basis(),
+                  pca::subspace_affinity(short_memory.eigensystem().basis(),
                                          regime),
-                  w ? pca::subspace_affinity(w->basis(), regime) : 0.0,
+                  pca::subspace_affinity(long_memory.eigensystem().basis(),
+                                         regime),
                   n == kSwitchAt ? "   <-- regime switch" : "");
     }
   }
 
   std::printf(
-      "\nInfinite memory is stuck between regimes; the damping factor "
-      "recovers\nwith an exponential tail; the sliding window forgets the "
-      "old regime\ncompletely once it rolls out of the buckets.\n");
+      "\nInfinite memory is stuck between regimes; forgetting recovers with "
+      "an\nexponential tail, faster the shorter its memory.\n");
   return 0;
 }

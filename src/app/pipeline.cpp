@@ -361,14 +361,12 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
               {"merges_rejected", double(s.merges_rejected)},
               {"healthy", engine->healthy() ? 1.0 : 0.0},
               // Micro-batching (DESIGN.md): lock acquisitions that applied
-              // data, the batch-size distribution they absorbed, and the
-              // controller's current target.
+              // data and the batch-size distribution they absorbed.
               {"batches", double(s.batches)},
               {"batch_size_mean", batch.mean()},
               {"batch_size_p50", batch.p50()},
               {"batch_size_p95", batch.p95()},
               {"batch_size_max", double(batch.max)},
-              {"batch_target", double(engine->adaptive_batch())},
               // Contention observability (ISSUE 8): how long the engine
               // holds its state lock per acquisition.  Read together with
               // the channels' blocked-time histograms to localize stalls.

@@ -61,13 +61,13 @@ struct PipelineConfig {
   std::uint64_t independence_fallback = 10000; ///< used when alpha == 1
   std::size_t channel_capacity = 1024;
   /// Upper bound on the engines' micro-batch size (DESIGN.md
-  /// "Micro-batching"): each engine drains up to this many tuples per
-  /// state-lock acquisition and absorbs them with one thin SVD, with the
-  /// actual size adapting in [1, batch_max] to input-queue depth.  1 (the
-  /// default) reproduces the per-tuple engine exactly; > 1 trades bounded
-  /// robust-weight staleness (at most batch_max - 1 updates) for SVD and
-  /// lock amortization.  Malformed inputs still count per tuple — see
-  /// `validate_ingest` for keeping them out of the batch entirely.
+  /// "Micro-batching"): each drain takes min(queue depth, batch_max) tuples
+  /// in one state-lock acquisition and absorbs them with one thin SVD, so
+  /// an idle queue still updates per tuple.  1 (the default) reproduces the
+  /// per-tuple engine exactly; > 1 trades bounded robust-weight staleness
+  /// (at most batch_max - 1 updates) for SVD and lock amortization.
+  /// Malformed inputs still count per tuple — see `validate_ingest` for
+  /// keeping them out of the batch entirely.
   std::size_t batch_max = 1;
   /// Payload-arena capacity in slabs (ISSUE 8, DESIGN.md "Tuple lifecycle
   /// & SIMD dispatch").  The pipeline owns a stream::TupleArena of fixed-d

@@ -15,11 +15,11 @@ EigenSystem merge(std::span<const EigenSystem> systems,
   const std::size_t d = systems[0].dim();
   const std::size_t k = systems.size();
 
-  std::size_t rank_out = opts.rank_out;
+  std::size_t out_rank = 0;
   std::size_t total_cols = 0;
   for (const EigenSystem& s : systems) {
     if (s.dim() != d) throw std::invalid_argument("merge: dim mismatch");
-    rank_out = std::max(rank_out, opts.rank_out != 0 ? opts.rank_out : s.rank());
+    out_rank = std::max(out_rank, s.rank());
     total_cols += s.rank();
   }
   if (!opts.assume_equal_means) total_cols += k;
@@ -69,9 +69,9 @@ EigenSystem merge(std::span<const EigenSystem> systems,
 
   const linalg::ThinUResult svd = linalg::svd_left(a);
 
-  linalg::Matrix basis(d, rank_out);
-  linalg::Vector lambda(rank_out);
-  const std::size_t keep = std::min(rank_out, svd.singular_values.size());
+  linalg::Matrix basis(d, out_rank);
+  linalg::Vector lambda(out_rank);
+  const std::size_t keep = std::min(out_rank, svd.singular_values.size());
   for (std::size_t c = 0; c < keep; ++c) {
     lambda[c] = svd.singular_values[c] * svd.singular_values[c];
     for (std::size_t r = 0; r < d; ++r) basis(r, c) = svd.u(r, c);

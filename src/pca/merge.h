@@ -26,14 +26,13 @@ struct MergeOptions {
   /// Drop the mean-correction columns (paper eq. 16).  Cheaper; exact only
   /// when all means coincide.
   bool assume_equal_means = false;
-  /// Rank of the merged system; 0 keeps the largest input rank.
-  std::size_t rank_out = 0;
 };
 
-/// Merge any number of eigensystems into one.  Weights derive from each
-/// system's running sums (γᵢ = vᵢ/Σv); systems that have seen no weight
-/// fall back to raw observation counts.  σ² pools u-weighted.  Throws on
-/// empty input or mismatched dimensionality.
+/// Merge any number of eigensystems into one, keeping the largest input
+/// rank (callers that want fewer components use pca::truncate).  Weights
+/// derive from each system's running sums (γᵢ = vᵢ/Σv); systems that have
+/// seen no weight fall back to raw observation counts.  σ² pools
+/// u-weighted.  Throws on empty input or mismatched dimensionality.
 [[nodiscard]] EigenSystem merge(std::span<const EigenSystem> systems,
                                 const MergeOptions& opts = {});
 

@@ -159,10 +159,10 @@ class RobustIncrementalPca {
   /// Install a (merged) eigensystem — the synchronization entry point.
   void set_eigensystem(EigenSystem system);
 
-  /// Workspace recycling (windowed bucket rolls, crash-recovery engine
-  /// reincarnation): steal this engine's scratch or install an
-  /// already-grown one.  See UpdateWorkspace — a recycled workspace is
-  /// behaviorally identical to a fresh one, just pre-grown.
+  /// Workspace recycling (crash-recovery engine reincarnation): steal this
+  /// engine's scratch or install an already-grown one.  See UpdateWorkspace
+  /// — a recycled workspace is behaviorally identical to a fresh one, just
+  /// pre-grown.
   [[nodiscard]] UpdateWorkspace take_workspace() noexcept {
     return exact_ ? exact_->take_workspace() : std::move(ws_);
   }

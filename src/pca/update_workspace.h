@@ -10,8 +10,8 @@
 // they grow to the high-water mark of the shapes seen and keep that
 // capacity for the engine's lifetime.  A workspace carries no result state
 // between tuples — every kernel that uses a buffer overwrites it — so a
-// recycled workspace (windowed bucket roll, crash-recovery reincarnation)
-// behaves bit-identically to a fresh one.
+// recycled workspace (crash-recovery reincarnation) behaves bit-identically
+// to a fresh one.
 //
 // Not thread-safe: a workspace belongs to the single thread driving its
 // engine, matching the one-engine-one-thread execution model of the

@@ -46,16 +46,14 @@ PcaEngineOperator::PcaEngineOperator(
       policy_(policy),
       outliers_(outliers),
       fault_(std::move(fault_options)),
-      batch_max_(batch_max == 0 ? 1 : batch_max),
-      controller_(stream::AdaptiveBatchController::Config{
-          .max = batch_max == 0 ? 1 : batch_max}) {
+      batch_max_(batch_max == 0 ? 1 : batch_max) {
   // Reserved once: the drain loop and report emission then run
-  // allocation-free at any batch size the controller picks.
+  // allocation-free at any batch size a drain returns.
   batch_.reserve(batch_max_);
   batch_xs_.reserve(batch_max_);
   batch_reports_.reserve(batch_max_);
-  // Pre-warm the update workspace for the largest batch the controller can
-  // drain: ensure() is idempotent and never shrinks, so the first full-size
+  // Pre-warm the update workspace for the largest batch a drain can
+  // return: ensure() is idempotent and never shrinks, so the first full-size
   // batched SVD finds its scratch already sized instead of growing it on
   // the data path.
   if (pca_config_.dim > 0) {
@@ -419,22 +417,14 @@ void PcaEngineOperator::run_loop() {
       continue;
     }
 
-    // Backpressure-adaptive batch sizing: a deep input queue means latency
-    // is already queue-bound, so amortizing the SVD (and the state lock)
-    // over more tuples is free; an empty queue means the stream is slower
-    // than the engine and per-tuple updates give the best tail latency.
-    // The controller smooths the depth signal and rate-limits its moves
-    // (see batch_controller.h) — one tick per drain attempt, idle drains
-    // included, so a lull decays the target without a special case.
-    const std::size_t target = controller_.tick(data_in_->size());
-    adaptive_batch_.store(target, std::memory_order_relaxed);
-
-    // One lock round-trip drains the whole batch: queue contention no
-    // longer scales with the batch size (the old pop_for + try_pop loop
-    // took target+1 lock acquisitions per batch).
+    // The batch is min(depth, batch_max), drained in one lock round-trip:
+    // a deep input queue means latency is already queue-bound, so
+    // amortizing the SVD (and the state lock) over more tuples is free; an
+    // empty queue hands over each tuple as it arrives, keeping the
+    // per-tuple update's tail latency (DESIGN.md "Micro-batching").
     batch_.clear();
     const std::uint64_t t_pop = stream::OperatorMetrics::now_ns();
-    const std::size_t got = data_in_->pop_batch(batch_, target, 1ms);
+    const std::size_t got = data_in_->pop_batch(batch_, batch_max_, 1ms);
     if (got == 0) {
       if (data_in_->closed() && data_in_->size() == 0) data_open = false;
       continue;

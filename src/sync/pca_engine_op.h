@@ -47,7 +47,6 @@
 #include "pca/health.h"
 #include "pca/merge.h"
 #include "pca/robust_pca.h"
-#include "stream/batch_controller.h"
 #include "stream/fault.h"
 #include "stream/histogram.h"
 #include "stream/operator.h"
@@ -139,10 +138,6 @@ class PcaEngineOperator final : public stream::Operator {
       const noexcept {
     return batch_hist_;
   }
-  /// The adaptive controller's current target batch size, in [1, batch_max].
-  [[nodiscard]] std::size_t adaptive_batch() const noexcept {
-    return adaptive_batch_.load(std::memory_order_relaxed);
-  }
 
   /// State-lock hold-time distribution: one sample per acquisition the
   /// engine thread makes (batch apply and control handling).  Together with
@@ -218,17 +213,9 @@ class PcaEngineOperator final : public stream::Operator {
 
   /// Micro-batching (DESIGN.md "Micro-batching"): cap on tuples absorbed
   /// per state-lock acquisition.  1 reproduces the per-tuple engine
-  /// exactly; > 1 lets the backpressure-adaptive controller amortize one
-  /// thin SVD (and one lock round-trip) over up to batch_max tuples.
+  /// exactly; > 1 amortizes one thin SVD (and one lock round-trip) over
+  /// whatever is queued, up to batch_max tuples.
   std::size_t batch_max_;
-  /// Hysteretic batch-target controller (ISSUE 8): EWMA-smoothed depth,
-  /// history+instantaneous agreement to move, hold-down after every change.
-  /// Replaces the PR 5 instantaneous double/halve logic, which flapped on
-  /// bursty arrivals.  Engine-thread-only; ticked once per drain attempt.
-  stream::AdaptiveBatchController controller_;
-  /// Mirror of the controller's target for observability reads (metrics
-  /// extras, tests); the controller itself is single-threaded state.
-  std::atomic<std::size_t> adaptive_batch_{1};
   /// Payload arena (non-owning, may be null).  Every drained batch payload
   /// is released back after apply; a recorded outlier is a copy.
   stream::TupleArena* arena_ = nullptr;
@@ -254,7 +241,7 @@ class PcaEngineOperator final : public stream::Operator {
   std::size_t replay_log_size_ = 0;
   /// Cooperative-scheduling stride (see the drain loop): the engine yields
   /// the processor after roughly this many applied tuples, independent of
-  /// the micro-batch size the controller picked.
+  /// the micro-batch size the drain returned.
   static constexpr std::size_t kYieldStride = 8;
   std::size_t tuples_since_yield_ = 0;  // engine-thread-only
   pca::HealthWorkspace health_ws_;  // guarded by state_mutex_

@@ -1,7 +1,7 @@
 // The system-wide differential oracle: exact-vs-truncated pairs driven
 // through each layer the repo has grown — sequential and micro-batched
-// observes, sliding-window rolls, two-engine merges, a full pipeline
-// checkpoint -> crash -> restore, and serve queries — asserting (a) the
+// observes, two-engine merges, a full pipeline checkpoint -> crash ->
+// restore, and serve queries — asserting (a) the
 // truncated production path's subspace-angle error against the exact
 // reference stays inside documented bounds, and (b) everything touching
 // the exact engine is invariant / consistent at oracle (1e-10..1e-12)
@@ -21,7 +21,6 @@
 #include "pca/incremental_pca.h"
 #include "pca/merge.h"
 #include "pca/robust_pca.h"
-#include "pca/windowed.h"
 #include "serve/snapshot_server.h"
 #include "stats/rng.h"
 #include "stream/fault.h"
@@ -44,7 +43,6 @@ using stats::Rng;
 // suite streams (top_scale 3, noise 0.02, a few hundred tuples): the
 // truncated engines track the exact top-p subspace to well under these.
 constexpr double kStreamingAngleBound = 0.15;   // rad, classic + robust
-constexpr double kWindowedAngleBound = 0.35;    // rad, bucketed-merge window
 constexpr double kMergeAngleBound = 0.20;       // rad, two-engine truncated
 
 Matrix top_block(const EigenSystem& s, std::size_t p) {
@@ -120,45 +118,6 @@ TEST_P(SystemOracleTest, StreamingEnginesTrackExactReference) {
                 0.35 * std::max(1.0, el[k]))
         << "seed " << seed << " lambda " << k;
   }
-}
-
-// --- sliding-window rolls against a matched-forgetting exact engine -----
-
-TEST_P(SystemOracleTest, WindowedRollsTrackExactReference) {
-  const std::uint64_t seed = GetParam();
-  constexpr std::size_t kDim = 24, kRank = 3, kTotal = 600, kWindow = 256;
-
-  Rng rng(seed * 5 + 29);
-  const auto model = make_model(rng, kDim, kRank, 3.0, 0.02);
-
-  pca::WindowedPcaConfig wcfg;
-  wcfg.dim = kDim;
-  wcfg.rank = kRank;
-  wcfg.window = kWindow;
-  wcfg.buckets = 4;
-  pca::SlidingWindowPca window(wcfg);
-
-  // Matched effective memory: exponential forgetting with alpha = 1 - 1/W
-  // weights history on the same scale the hard window covers.  The two
-  // estimators differ by construction (hard cutoff vs exponential decay),
-  // so the documented bound is looser than the streaming one.
-  ExactIpcaConfig ecfg;
-  ecfg.dim = kDim;
-  ecfg.rank = kRank;
-  ecfg.alpha = 1.0 - 1.0 / double(kWindow);
-  ExactIpca exact(ecfg);
-
-  for (std::size_t i = 0; i < kTotal; ++i) {
-    const Vector x = draw(model, rng);
-    window.observe(x);
-    exact.observe(x);
-  }
-
-  const auto estimate = window.eigensystem();
-  ASSERT_TRUE(estimate.has_value());
-  const double angle = linalg::max_principal_angle_radians(
-      top_block(*estimate, kRank), top_block(exact.eigensystem(), kRank));
-  EXPECT_LE(angle, kWindowedAngleBound) << "seed " << seed;
 }
 
 // --- two-engine merge ----------------------------------------------------

@@ -4,8 +4,8 @@
 // exactly in the retained subspace the intermediate rank-p truncations
 // discard nothing, so batched and sequential classic PCA agree to FP noise
 // (pinned at 1e-10).  Around it: bitwise b == 1 delegation, init-boundary
-// handling, the robust outlier semantics (per-tuple decisions, rejected
-// tuples inert), and bucket-boundary splitting in the sliding window.
+// handling, and the robust outlier semantics (per-tuple decisions, rejected
+// tuples inert).
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "pca/incremental_pca.h"
 #include "pca/robust_pca.h"
 #include "pca/subspace.h"
-#include "pca/windowed.h"
 #include "stats/rng.h"
 #include "tests/pca/test_data.h"
 
@@ -347,46 +346,6 @@ TEST(BatchedRobust, WrongLengthSingleTupleBatchThrowsBeforeAnyUpdate) {
         << len;
     expect_same_state(before, engine.eigensystem());
   }
-}
-
-// ---------------------------------------------------------------------------
-// Sliding window: a batch never spans a bucket roll.
-
-TEST(BatchedWindowed, BatchSplitsAtBucketBoundaries) {
-  Rng rng(29);
-  const auto model = make_model(rng, 16, 4, 3.0, 0.05);
-  WindowedPcaConfig cfg;
-  cfg.dim = 16;
-  cfg.rank = 4;
-  cfg.window = 80;
-  cfg.buckets = 4;  // bucket_size 20 == the bucket engines' init_count
-  SlidingWindowPca sequential(cfg);
-  SlidingWindowPca batched(cfg);
-
-  // 137 tuples in batches of 7: the chunking is never aligned with the
-  // 20-tuple buckets, so nearly every roll lands mid-batch.
-  const auto data = draw_many(model, rng, 137);
-  std::vector<ObservationReport> reports(7);
-  std::vector<const Vector*> ptrs;
-  for (std::size_t i = 0; i < data.size(); i += 7) {
-    const std::size_t n = std::min<std::size_t>(7, data.size() - i);
-    ptrs.clear();
-    for (std::size_t k = 0; k < n; ++k) ptrs.push_back(&data[i + k]);
-    for (std::size_t k = 0; k < n; ++k) sequential.observe(data[i + k]);
-    batched.observe_batch(ptrs.data(), n, reports.data());
-    // Bucket-boundary splitting means the two instances roll at the same
-    // tuple: bucket population, and therefore coverage, stay identical.
-    EXPECT_EQ(sequential.coverage(), batched.coverage()) << "after " << i + n;
-    EXPECT_EQ(sequential.live_buckets(), batched.live_buckets())
-        << "after " << i + n;
-  }
-
-  const auto seq_sys = sequential.eigensystem();
-  const auto batch_sys = batched.eigensystem();
-  ASSERT_TRUE(seq_sys.has_value());
-  ASSERT_TRUE(batch_sys.has_value());
-  EXPECT_GT(subspace_affinity(seq_sys->basis(), batch_sys->basis()), 0.9);
-  EXPECT_GT(subspace_affinity(model.basis, batch_sys->basis()), 0.9);
 }
 
 }  // namespace

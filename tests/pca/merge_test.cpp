@@ -160,17 +160,6 @@ TEST(Merge, ManySystems) {
   EXPECT_GT(subspace_affinity(truncate(m, 2).basis(), model.basis), 0.99);
 }
 
-TEST(Merge, RankOutOverride) {
-  Rng rng(197);
-  const auto model = testing::make_model(rng, 10, 2);
-  const auto data = testing::draw_many(model, rng, 300);
-  const EigenSystem s = batch_pca(data, 4);
-  MergeOptions opts;
-  opts.rank_out = 2;
-  const EigenSystem m = merge(s, s, opts);
-  EXPECT_EQ(m.rank(), 2u);
-}
-
 TEST(Merge, PooledSigmaIsUWeighted) {
   EigenSystem a(4, 2), b(4, 2);
   a.mutable_sums().update(1.0, 1.0);  // u = 1

@@ -1,7 +1,7 @@
 // Oracle property suite: for 20 seeds, every answer the serving API gives
 // must match the direct EigenSystem computation to 1e-12 — the served
 // version is the *same mathematical object* as the engine state it froze,
-// across robust engines digesting outliers, sliding-window rolls, and a
+// across robust engines digesting outliers, forgetting-engine rolls, and a
 // checkpoint-encode/decode reincarnation of the server.
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "pca/robust_pca.h"
-#include "pca/windowed.h"
 #include "serve/snapshot_server.h"
 #include "stats/rng.h"
 #include "sync/checkpoint_store.h"
@@ -114,36 +113,35 @@ TEST(ServeOracle, RobustEngineWithOutliersTwentySeeds) {
 }
 
 TEST(ServeOracle, WindowRollsRepublishExactly) {
-  // A sliding-window engine whose buckets roll mid-stream: after each
-  // republish the server must answer for exactly the rolled window state,
-  // with the version advancing once per publish.
+  // A forgetting engine (alpha = 1 - 1/256, a 256-tuple effective window)
+  // whose state keeps rolling mid-stream: after each republish the server
+  // must answer for exactly the current state, with the version advancing
+  // once per publish.
   constexpr std::size_t kDim = 10;
   for (std::uint64_t seed = 101; seed <= 105; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
     const auto model = make_model(rng, kDim, 2, 2.0, 0.05);
-    pca::WindowedPcaConfig cfg;
+    pca::RobustPcaConfig cfg;
     cfg.dim = kDim;
     cfg.rank = 2;
-    cfg.window = 256;
-    cfg.buckets = 4;
-    pca::SlidingWindowPca window(cfg);
+    cfg.alpha = 1.0 - 1.0 / 256.0;
+    pca::RobustIncrementalPca engine(cfg);
 
     SnapshotServer server;
     std::uint64_t expect_version = 0;
-    // 3 * window tuples: the window rolls through many bucket expiries;
-    // republish every half bucket once the estimate exists.
+    // 3 * window tuples: the old data is forgotten several times over;
+    // republish every 32 tuples once the estimate exists.
     for (int i = 0; i < 768; ++i) {
-      window.observe(draw(model, rng));
+      engine.observe(draw(model, rng));
       if (i % 32 != 31) continue;
-      const auto est = window.eigensystem();
-      if (!est.has_value()) continue;
-      const std::uint64_t v =
-          server.publish(*est, 0, std::int64_t(i));
+      if (!engine.initialized()) continue;
+      const pca::EigenSystem est = engine.eigensystem();
+      const std::uint64_t v = server.publish(est, 0, std::int64_t(i));
       ASSERT_EQ(v, ++expect_version);
       std::vector<linalg::Vector> probes;
       for (int p = 0; p < 3; ++p) probes.push_back(draw(model, rng));
-      expect_serves_exactly(server, *est, probes, expect_version);
+      expect_serves_exactly(server, est, probes, expect_version);
     }
     ASSERT_GT(expect_version, 10u);  // the roll actually exercised publishes
   }
