@@ -8,8 +8,9 @@
 // BENCH_transport.json, keyed by the "transport" field;
 // bench/check_regression.py gates a fresh run against the committed
 // baseline — throughput within tolerance for every row, allocs/tuple
-// still zero on the local AND shm rows (the ring keeps the arena engaged
-// end to end; only the TCP path serializes and is exempt).
+// still zero on the local, shm and tcp rows (every carrier keeps the arena
+// engaged end to end: its sink releases each slab once the frame is
+// encoded, its server decodes into leased slabs).
 //
 // Methodology matches fig6_scaling: tuples_per_sec is the best of kTrials
 // runs (upper envelope vs scheduler noise); allocs_per_tuple is the
@@ -63,6 +64,13 @@ RunResult run_pipeline(Kind kind, std::size_t engines,
   if (kind == Kind::kShm) {
     cfg.transport.kind = astro::app::PipelineConfig::TransportOptions::Kind::kShm;
     cfg.transport.shm.ring_capacity = 1024;
+  }
+  if (kind == Kind::kTcp) {
+    // The TCP default grows the pool's channel share on demand, as fast as
+    // the link backs up; prefill it like the other rows (every channel
+    // full) so the differential allocs count the recycle loop only.
+    cfg.arena_capacity = (1 + engines) * cfg.channel_capacity +
+                         engines * (cfg.batch_max + 4) + 64;
   }
   astro::app::StreamingPcaPipeline p(cfg, data);
   astro::perf::AllocWindow window;
@@ -130,8 +138,8 @@ int main(int argc, char** argv) {
         const RunResult r = run_pipeline(kind, engines, base);
         if (r.tps > best.tps) best = r;
       }
-      // Differential allocs: gated on the local and shm paths (both keep
-      // the arena engaged) — the TCP path serializes every tuple by design.
+      // Differential allocs: gated on every pipeline row (each keeps the
+      // arena engaged).
       const RunResult short_run = run_pipeline(kind, engines, base);
       const RunResult long_run = run_pipeline(kind, engines, data);
       double allocs_per_tuple =

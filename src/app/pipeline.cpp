@@ -94,6 +94,8 @@ template <typename Sink, typename Server>
 void StreamingPcaPipeline::add_transport(Sink* sink, Server* server) {
   uplink_ = sink;
   downlink_ = server;
+  sink->set_arena(arena_.get());
+  server->set_arena(arena_.get());
   registry_.add_operator(
       "uplink", &sink->metrics(),
       [sink] { return counter_rows(sink->counters()); }, this);
@@ -134,24 +136,27 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
   // in-flight tuples — every data channel at capacity, each engine's
   // staging batch, plus slack for tuples held by operator threads — without
   // the pool ever growing.  Overriding via arena_capacity trades memory
-  // for growth-count noise, never correctness.
-  // The TCP transport path serializes every tuple onto a socket and
-  // decodes a fresh one on the far side, so the arena's recycle loop
-  // cannot close — skip it and let payloads be plain heap vectors.  The
-  // shm leg is different: the sink releases each payload back to the pool
-  // once the frame is staged in its ring slot, and the server decodes into
-  // arena-leased tuples, so both half-loops close and the arena stays on.
+  // for growth-count noise, never correctness.  One rule for every
+  // carrier: a transport's sink releases each payload once its frame is
+  // encoded (into a ring slot or the TCP frame ring), and its server
+  // decodes into arena-leased tuples, so the recycle loop closes across
+  // the boundary.
   const bool tcp_transport =
       config.transport.enabled &&
       config.transport.kind == PipelineConfig::TransportOptions::Kind::kTcp;
-  if (config.pca.dim > 0 && !tcp_transport) {
+  if (config.pca.dim > 0) {
     std::size_t slabs = config.arena_capacity;
     if (slabs == 0) {
       // The data channels that exist: the engine ports, and with a
       // transport the source -> uplink queue.  The fused split's in-edge
-      // buffers nothing, and recorders keep copies, never slabs.
+      // buffers nothing, and recorders keep copies, never slabs.  Behind
+      // TCP the channels' share is grown on demand instead (arena_grown
+      // counts it once): prefilling 2 x 1024 slabs at d = 64 doubled the
+      // TCP pipeline's setup time and added 1 MB of RSS, for queues that
+      // stay nearly empty at the link's operating point (DESIGN.md
+      // "Batching on the wire").
       const std::size_t data_channels = (config.transport.enabled ? 1 : 0) + n;
-      slabs = data_channels * config.channel_capacity +
+      slabs = (tcp_transport ? 0 : data_channels * config.channel_capacity) +
               n * (std::max<std::size_t>(config.batch_max, 1) + 4) + 64;
     }
     arena_ = std::make_unique<stream::TupleArena>(config.pca.dim, slabs);
@@ -269,10 +274,8 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
     if (segment.empty()) segment = auto_shm_segment();
     auto* server = graph_.add<stream::ShmTupleServer>("downlink", segment,
                                                       split_, shm_opts);
-    server->set_arena(arena_.get());
     auto* sink = graph_.add<stream::ShmTupleSink>("uplink", segment,
                                                   uplink_in_, shm_opts);
-    sink->set_arena(arena_.get());
     add_transport(sink, server);
   } else if (config.transport.enabled) {
     stream::TcpServerOptions server_opts;

@@ -74,8 +74,9 @@ struct PipelineConfig {
   /// payload slabs; the source leases one per tuple, operators pass it by
   /// move, and the engines release it after apply — so at steady state the
   /// data plane allocates nothing per tuple.  0 (the default) auto-sizes to
-  /// cover every data channel full plus per-engine staging headroom; any
-  /// other value is used verbatim.  Undersizing degrades gracefully: an
+  /// cover every data channel full plus per-engine staging headroom (behind
+  /// TCP only the staging headroom; the channels' share grows on demand);
+  /// any other value is used verbatim.  Undersizing degrades gracefully: an
   /// exhausted pool falls back to counted heap growth, never blocking.
   std::size_t arena_capacity = 0;
   double source_rate = 0.0;  ///< tuples/s cap at the source; 0 = unthrottled
@@ -150,10 +151,9 @@ struct PipelineConfig {
   /// (CRC framing, resume/replay, peer-death detection); the two-process
   /// drills run the same operators with the server side in a child.  The
   /// local (non-transport) data plane is untouched — and stays zero-alloc.
-  /// The TCP path necessarily serializes onto a socket and decodes fresh
-  /// heap tuples on the far side, so the payload arena is not engaged when
-  /// it is on; the shm path encodes straight into ring slots and decodes
-  /// into arena-leased tuples, so the arena stays on and the steady path
+  /// Both legs keep the payload arena engaged: the sink encodes straight
+  /// into its ring (the TCP frame ring or the shm slots) and releases the
+  /// slab, the server decodes into arena-leased tuples, so the steady path
   /// allocates nothing.
   struct TransportOptions {
     enum class Kind { kTcp, kShm };
@@ -165,7 +165,8 @@ struct PipelineConfig {
     /// Sink-side knobs: retransmit window, retry/backoff budget, deadlines,
     /// degraded-mode cadence, fault injector (kTcp).
     stream::TcpTransportOptions tcp;
-    /// Receiver's cumulative-ack cadence (frames per ack, kTcp).
+    /// Receiver's cap on frames per cumulative ack inside one long read
+    /// burst; every burst ends with an ack (kTcp).
     std::size_t ack_every = 32;
     /// Shared-memory segment name (kShm); "" derives a process-unique one.
     std::string shm_segment;
@@ -298,7 +299,8 @@ class StreamingPcaPipeline {
 
  private:
   void build(const PipelineConfig& config);
-  /// Records the transport endpoints and registers their counters.
+  /// Records the transport endpoints, wires both into the payload arena
+  /// and registers their counters.
   template <typename Sink, typename Server>
   void add_transport(Sink* sink, Server* server);
   /// The fault schedule's hook for the edge `name` (empty when the

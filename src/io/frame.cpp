@@ -150,7 +150,15 @@ std::vector<std::uint8_t> encode_frame(FrameType type, std::uint64_t seq,
 
 std::vector<std::uint8_t> encode_control_frame(FrameType type,
                                                std::uint64_t seq) {
-  return encode_with_payload_inline(type, seq, nullptr, {});
+  const ControlFrame frame = control_frame(type, seq);
+  return {frame.begin(), frame.end()};
+}
+
+ControlFrame control_frame(FrameType type, std::uint64_t seq) {
+  ControlFrame frame;
+  write_header(frame.data(), type, 0, seq);
+  store_le32(frame.data() + kCrcOffset, frame_crc(frame.data(), {}));
+  return frame;
 }
 
 std::vector<std::uint8_t> encode_tuple(const stream::DataTuple& t,

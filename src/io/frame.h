@@ -22,6 +22,7 @@
 // detected and the frame rejected with typed accounting instead of
 // poisoning the stream.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -71,6 +72,11 @@ struct FrameHeader {
 /// Control frame (empty payload): kAck / kHello / kHelloAck / kBye.
 [[nodiscard]] std::vector<std::uint8_t> encode_control_frame(FrameType type,
                                                              std::uint64_t seq);
+
+/// The same control frame by value: a control frame is a bare header, so
+/// acks and handshakes cost no allocation.
+using ControlFrame = std::array<std::uint8_t, kFrameHeaderBytes>;
+[[nodiscard]] ControlFrame control_frame(FrameType type, std::uint64_t seq);
 
 /// Serializes a tuple into a kTuple frame whose header carries
 /// `transport_seq` (the session protocol's retransmit key).

@@ -74,16 +74,6 @@ class IncrementalPca {
   /// Replace the state wholesale (synchronization installs merged systems).
   void set_eigensystem(EigenSystem system);
 
-  /// Workspace recycling (crash-recovery engine reincarnation): steal this
-  /// engine's scratch, or install an already-grown one.  The adopted
-  /// workspace is re-ensured to this engine's shape on the next
-  /// init/install, so a mismatched donor only costs a one-time grow, never
-  /// correctness.
-  [[nodiscard]] UpdateWorkspace take_workspace() noexcept {
-    return std::move(ws_);
-  }
-  void adopt_workspace(UpdateWorkspace ws) noexcept { ws_ = std::move(ws); }
-
  private:
   void initialize_from_buffer();
 

@@ -4,6 +4,7 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -25,6 +26,13 @@ using std::chrono::milliseconds;
 
 constexpr std::size_t kRecvChunk = 64 * 1024;
 constexpr int kPollSliceMs = 50;
+/// How long a receiver waits before retrying an ack the applied watermark
+/// held back.
+constexpr int kAckRetryMs = 1;
+/// How long the sink holds a frame for company when its input is quiet:
+/// sends are batched on purpose, never by Nagle's ACK-timed hold
+/// (EXPERIMENTS.md "Flush slice").
+constexpr std::chrono::microseconds kFlushSlice{500};
 
 /// Poll-driven write of a whole frame with a deadline; honors `stopped`
 /// within one poll slice.  No fault injection (server side).
@@ -53,6 +61,12 @@ bool write_frame_plain(int fd, std::span<const std::uint8_t> frame,
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+/// Every send leaves at once; batching is the sender's own decision.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 }  // namespace
@@ -98,7 +112,7 @@ TcpTupleServer::~TcpTupleServer() {
 bool TcpTupleServer::send_ack(int fd, bool force, io::FrameType type) {
   const std::uint64_t value = cap_at_watermark(applied_);
   if (!force && value <= last_ack_sent_) return true;
-  const auto frame = io::encode_control_frame(type, value);
+  const io::ControlFrame frame = io::control_frame(type, value);
   const auto stopped = [this] { return stop_requested(); };
   if (!write_frame_plain(fd, frame, options_.write_timeout, stopped)) {
     return false;
@@ -175,12 +189,31 @@ TcpTupleServer::FrameOutcome TcpTupleServer::handle_data(
 }
 
 bool TcpTupleServer::serve_connection(int fd) {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(2 * kRecvChunk);
-  std::size_t head = 0;
+  std::vector<std::uint8_t> buf(kRecvChunk);
+  std::size_t fill = 0;
   while (!stop_requested()) {
-    // Parse every complete frame currently buffered.
-    while (buf.size() - head >= io::kFrameHeaderBytes) {
+    // An ack the applied watermark held back is retried promptly;
+    // otherwise the poll slice only bounds how long a stop waits.
+    pollfd p{fd, POLLIN, 0};
+    const int pr =
+        ::poll(&p, 1, applied_ > last_ack_sent_ ? kAckRetryMs : kPollSliceMs);
+    if (pr < 0) return true;
+    if (pr == 0) {
+      if (!send_ack(fd, /*force=*/false)) return true;
+      continue;
+    }
+    const ssize_t r = ::recv(fd, buf.data() + fill, buf.size() - fill, 0);
+    if (r <= 0) {
+      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
+                    errno == EINTR)) {
+        continue;
+      }
+      return true;  // EOF or hard error: connection over
+    }
+    fill += std::size_t(r);
+    // Parse every complete frame of the burst.
+    std::size_t head = 0;
+    while (fill - head >= io::kFrameHeaderBytes) {
       const auto h = io::decode_frame_header(
           std::span<const std::uint8_t>(buf.data() + head,
                                         io::kFrameHeaderBytes));
@@ -192,7 +225,11 @@ bool TcpTupleServer::serve_connection(int fd) {
         return true;
       }
       const std::size_t frame_bytes = io::kFrameHeaderBytes + h->payload_bytes;
-      if (buf.size() - head < frame_bytes) break;
+      if (fill - head < frame_bytes) {
+        // A frame larger than the buffer grows it once.
+        if (frame_bytes > buf.size()) buf.resize(frame_bytes);
+        break;
+      }
       const FrameOutcome outcome = handle_frame(
           fd, std::span<const std::uint8_t>(buf.data() + head, frame_bytes));
       if (outcome == FrameOutcome::kDownstreamClosed) return false;
@@ -200,31 +237,11 @@ bool TcpTupleServer::serve_connection(int fd) {
       head += frame_bytes;
     }
     if (head > 0) {
-      buf.erase(buf.begin(), buf.begin() + std::ptrdiff_t(head));
-      head = 0;
+      std::memmove(buf.data(), buf.data() + head, fill - head);
+      fill -= head;
     }
-    pollfd p{fd, POLLIN, 0};
-    const int pr =
-        ::poll(&p, 1, int(std::max<std::int64_t>(options_.idle_ack.count(), 1)));
-    if (pr < 0) return true;
-    if (pr == 0) {
-      // Idle: push out any pending cumulative ack so a quiescing sender's
-      // final flush is not held hostage to the ack_every cadence.
-      if (!send_ack(fd, /*force=*/false)) return true;
-      continue;
-    }
-    const std::size_t old = buf.size();
-    buf.resize(old + kRecvChunk);
-    const ssize_t r = ::recv(fd, buf.data() + old, kRecvChunk, 0);
-    if (r <= 0) {
-      buf.resize(old);
-      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
-                    errno == EINTR)) {
-        continue;
-      }
-      return true;  // EOF or hard error: connection over
-    }
-    buf.resize(old + std::size_t(r));
+    // End of the burst: one cumulative ack for all it delivered.
+    if (!send_ack(fd, /*force=*/false)) return true;
   }
   return true;
 }
@@ -244,6 +261,7 @@ StopReason TcpTupleServer::serve() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     set_nonblocking(fd);
+    set_nodelay(fd);
     downstream_open = serve_connection(fd);
     ::close(fd);
     ++served;
@@ -268,7 +286,8 @@ TcpTupleSink::TcpTupleSink(std::string name, std::uint16_t port,
                            TcpTransportOptions options)
     : SessionSink(std::move(name), std::move(in)),
       port_(port),
-      options_(options) {}
+      options_(options),
+      slots_(std::max<std::size_t>(options.retransmit_window, 1)) {}
 
 TcpTupleSink::~TcpTupleSink() {
   join();
@@ -292,7 +311,7 @@ void TcpTupleSink::teardown_socket() {
     fd_ = -1;
   }
   connected_ = false;
-  read_buffer_.clear();
+  read_fill_ = 0;
 }
 
 bool TcpTupleSink::try_connect() {
@@ -305,6 +324,7 @@ bool TcpTupleSink::try_connect() {
     connect_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
+  set_nodelay(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -344,19 +364,15 @@ bool TcpTupleSink::try_connect() {
   return true;
 }
 
-TcpTupleSink::IoResult TcpTupleSink::send_frame(
-    const std::vector<std::uint8_t>& frame) {
+TcpTupleSink::IoResult TcpTupleSink::write_span(
+    std::span<const std::uint8_t> bytes) {
   std::size_t off = 0;
   const auto deadline = Clock::now() + options_.write_timeout;
-  while (off < frame.size()) {
+  while (off < bytes.size()) {
     if (stop_requested()) return IoResult::kStopped;
     if (Clock::now() >= deadline) return IoResult::kClosed;  // stalled peer
-    pollfd p{fd_, POLLOUT, 0};
-    const int pr = ::poll(&p, 1, kPollSliceMs);
-    if (pr < 0) return IoResult::kClosed;
-    if (pr == 0) continue;
-    std::size_t want = frame.size() - off;
-    const std::uint8_t* src = frame.data() + off;
+    std::size_t want = bytes.size() - off;
+    const std::uint8_t* src = bytes.data() + off;
     if (options_.fault) {
       auto plan = options_.fault->plan_send(want);
       if (plan.reset) return IoResult::kClosed;  // injected ECONNRESET
@@ -369,8 +385,8 @@ TcpTupleSink::IoResult TcpTupleSink::send_frame(
       }
       want = plan.len;
       if (!plan.flips.empty()) {
-        // Damage a scratch copy so the retransmit buffer stays pristine —
-        // the receiver's CRC reject must be healable by replaying the
+        // Damage a scratch copy so the frame ring stays pristine — the
+        // receiver's CRC reject must be healable by replaying the
         // *original* bytes.
         send_scratch_.assign(src, src + want);
         for (const auto& [rel, mask] : plan.flips) send_scratch_[rel] ^= mask;
@@ -379,68 +395,111 @@ TcpTupleSink::IoResult TcpTupleSink::send_frame(
     }
     const ssize_t w = ::send(fd_, src, want, MSG_NOSIGNAL);
     if (w < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      return IoResult::kClosed;
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) return IoResult::kClosed;
+      // The socket buffer is full: only now wait for room.
+      pollfd p{fd_, POLLOUT, 0};
+      if (::poll(&p, 1, kPollSliceMs) < 0) return IoResult::kClosed;
+      continue;
     }
-    if (w == 0) continue;
     if (options_.fault) options_.fault->note_sent(std::size_t(w));
     off += std::size_t(w);
   }
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
   return IoResult::kOk;
 }
 
+TcpTupleSink::IoResult TcpTupleSink::send_pending() {
+  while (held() > 0) {
+    const std::uint64_t first = sent_seq_ + 1;
+    // A run ends at the newest frame, or just before the ring's wrap.
+    const std::uint64_t last =
+        wrap_seq_ > first ? wrap_seq_ - 1 : next_seq_ - 1;
+    const std::size_t begin = slot(first).offset;
+    const std::size_t end = slot(last).offset + slot(last).bytes;
+    const IoResult r = write_span(
+        std::span<const std::uint8_t>(ring_.data() + begin, end - begin));
+    if (r != IoResult::kOk) return r;
+    frames_sent_.fetch_add(last - first + 1, std::memory_order_relaxed);
+    if (first <= high_sent_) {
+      retransmits_.fetch_add(std::min(last, high_sent_) - first + 1,
+                             std::memory_order_relaxed);
+    }
+    high_sent_ = std::max(high_sent_, last);
+    sent_seq_ = last;
+  }
+  return IoResult::kOk;
+}
+
+void TcpTupleSink::transmit() {
+  if (!connected_) return;
+  const IoResult r = send_pending();
+  if (r == IoResult::kClosed || (r == IoResult::kOk && !drain_receiver())) {
+    on_outage();  // the frames stay windowed; replayed on resume
+  }
+}
+
 void TcpTupleSink::note_acked(std::uint64_t upto) {
+  upto = std::min(upto, next_seq_ - 1);
   if (upto <= acked_seq_) return;
+  // tuples_out = tuples the receiver confirmed, not bytes optimistically
+  // written: only an acked frame leaves the sink's accounting.
+  for (std::uint64_t seq = acked_seq_ + 1; seq <= upto; ++seq) {
+    metrics_.record_out(slot(seq).bytes);
+  }
   acked_seq_ = upto;
   // Transport seqs are contiguous from 1, so the cumulative ack value is
   // also the count of tuples the receiver has durably applied.
   acked_.store(upto, std::memory_order_relaxed);
-  while (!window_.empty() && window_.front().seq <= upto) {
-    // tuples_out = tuples the receiver confirmed, not bytes optimistically
-    // written: only an acked frame leaves the sink's accounting.
-    metrics_.record_out(window_.front().frame.size());
-    window_.pop_front();
-  }
-  window_depth_.store(window_.size(), std::memory_order_relaxed);
+  sent_seq_ = std::max(sent_seq_, upto);
+  // Once every frame above the wrap is acked, the live ones all sit from
+  // offset 0 up: the ring is unwrapped.
+  if (wrap_seq_ != 0 && acked_seq_ + 1 >= wrap_seq_) wrap_seq_ = 0;
+  window_depth_.store(windowed(), std::memory_order_relaxed);
   last_ack_progress_ = Clock::now();
 }
 
 bool TcpTupleSink::drain_receiver(std::optional<std::uint64_t>* hello_ack) {
   while (true) {
-    std::uint8_t tmp[4096];
-    const ssize_t r = ::recv(fd_, tmp, sizeof(tmp), MSG_DONTWAIT);
+    const ssize_t r =
+        ::recv(fd_, read_buffer_.data() + read_fill_,
+               read_buffer_.size() - read_fill_, MSG_DONTWAIT);
     if (r == 0) return false;  // receiver closed
     if (r < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
       return false;
     }
-    read_buffer_.insert(read_buffer_.end(), tmp, tmp + r);
-  }
-  std::size_t head = 0;
-  while (read_buffer_.size() - head >= io::kFrameHeaderBytes) {
-    const std::span<const std::uint8_t> header(read_buffer_.data() + head,
-                                               io::kFrameHeaderBytes);
-    const auto h = io::decode_frame_header(header);
-    if (!h) return false;  // receiver-side desync: reconnect
-    const std::size_t frame_bytes = io::kFrameHeaderBytes + h->payload_bytes;
-    if (read_buffer_.size() - head < frame_bytes) break;
-    const std::span<const std::uint8_t> payload(
-        read_buffer_.data() + head + io::kFrameHeaderBytes, h->payload_bytes);
-    if (io::verify_frame_crc(header, payload)) {
-      if (h->type == io::FrameType::kAck) {
-        acks_received_.fetch_add(1, std::memory_order_relaxed);
-        note_acked(h->seq);
-      } else if (h->type == io::FrameType::kHelloAck) {
-        if (hello_ack) *hello_ack = h->seq;
+    read_fill_ += std::size_t(r);
+    std::size_t head = 0;
+    while (read_fill_ - head >= io::kFrameHeaderBytes) {
+      const std::span<const std::uint8_t> header(read_buffer_.data() + head,
+                                                 io::kFrameHeaderBytes);
+      const auto h = io::decode_frame_header(header);
+      // Receiver-side desync, or a frame no receiver sends: reconnect.
+      if (!h ||
+          h->payload_bytes > read_buffer_.size() - io::kFrameHeaderBytes) {
+        return false;
       }
-      // Anything else from a receiver is nonsense; ignore quietly.
+      const std::size_t frame_bytes = io::kFrameHeaderBytes + h->payload_bytes;
+      if (read_fill_ - head < frame_bytes) break;
+      const std::span<const std::uint8_t> payload(
+          read_buffer_.data() + head + io::kFrameHeaderBytes,
+          h->payload_bytes);
+      if (io::verify_frame_crc(header, payload)) {
+        if (h->type == io::FrameType::kAck) {
+          acks_received_.fetch_add(1, std::memory_order_relaxed);
+          note_acked(h->seq);
+        } else if (h->type == io::FrameType::kHelloAck) {
+          if (hello_ack) *hello_ack = h->seq;
+        }
+        // Anything else from a receiver is nonsense; ignore quietly.
+      }
+      head += frame_bytes;
     }
-    head += frame_bytes;
-  }
-  if (head > 0) {
-    read_buffer_.erase(read_buffer_.begin(),
-                       read_buffer_.begin() + std::ptrdiff_t(head));
+    if (head > 0) {
+      std::memmove(read_buffer_.data(), read_buffer_.data() + head,
+                   read_fill_ - head);
+      read_fill_ -= head;
+    }
   }
   return true;
 }
@@ -461,10 +520,11 @@ TcpTupleSink::IoResult TcpTupleSink::await_ack_progress(
 }
 
 TcpTupleSink::IoResult TcpTupleSink::handshake() {
-  const auto hello =
-      io::encode_control_frame(io::FrameType::kHello, next_seq_ - 1);
-  const IoResult sent = send_frame(hello);
+  const io::ControlFrame hello =
+      io::control_frame(io::FrameType::kHello, next_seq_ - 1);
+  const IoResult sent = write_span(hello);
   if (sent != IoResult::kOk) return sent;
+  frames_sent_.fetch_add(1, std::memory_order_relaxed);
   std::optional<std::uint64_t> resume;
   const IoResult replied = await_ack_progress(&resume);
   if (replied != IoResult::kOk) return replied;
@@ -479,24 +539,13 @@ TcpTupleSink::IoResult TcpTupleSink::handshake() {
 }
 
 TcpTupleSink::IoResult TcpTupleSink::retransmit_unacked() {
-  // Replay the unacked suffix in seq order.  Acks may land mid-replay and
-  // prune the window, so walk by seq (the window is a contiguous range),
-  // never by iterator.
-  std::uint64_t cursor = acked_seq_;
-  while (!window_.empty() && cursor < window_.back().seq) {
-    if (cursor + 1 < window_.front().seq) {
-      cursor = window_.front().seq - 1;  // acked under us; skip ahead
-      continue;
-    }
-    const std::size_t idx = std::size_t(cursor + 1 - window_.front().seq);
-    const IoResult r = send_frame(window_[idx].frame);
-    if (r != IoResult::kOk) return r;
-    retransmits_.fetch_add(1, std::memory_order_relaxed);
-    ++cursor;
-    if (!drain_receiver()) return IoResult::kClosed;
-  }
+  // A new connection carries nothing yet: replay the unacked suffix in seq
+  // order, as coalesced as the first sends were.
+  sent_seq_ = acked_seq_;
+  IoResult r = send_pending();
+  if (r == IoResult::kOk && !drain_receiver()) r = IoResult::kClosed;
   last_ack_progress_ = Clock::now();
-  return IoResult::kOk;
+  return r;
 }
 
 TcpTupleSink::IoResult TcpTupleSink::establish_session(int attempts) {
@@ -544,12 +593,28 @@ bool TcpTupleSink::open() {
   return true;
 }
 
+std::chrono::microseconds TcpTupleSink::pop_wait() const {
+  // While frames are held, an empty input goes straight to idle(), which
+  // sleeps out the flush slice: arrivals queue up meanwhile instead of
+  // waking the sink one tuple at a time.
+  if (connected_ && held() > 0) return std::chrono::microseconds(0);
+  return SessionSink::pop_wait();
+}
+
 void TcpTupleSink::idle() {
-  // Keep servicing acks and the progress watchdog.
   if (!connected_) return;
-  if (!drain_receiver() ||
-      (!window_.empty() &&
-       Clock::now() - last_ack_progress_ > options_.ack_timeout)) {
+  if (held() > 0 && !slice_slept_) {
+    // The input went quiet inside the slice: sleep to its end, then the
+    // run loop drains what arrived and the next quiet moment sends it all.
+    slice_slept_ = true;
+    wait_until_stopped(flush_due_);
+    return;
+  }
+  // Send what the flush slice held, then keep servicing acks and the
+  // progress watchdog.
+  transmit();
+  if (connected_ && windowed() > 0 &&
+      Clock::now() - last_ack_progress_ > options_.ack_timeout) {
     on_outage();
   }
 }
@@ -563,36 +628,82 @@ bool TcpTupleSink::heal() {
   return false;
 }
 
+std::optional<std::size_t> TcpTupleSink::free_offset(std::size_t bytes) const {
+  const std::uint64_t live = windowed();
+  if (live == 0) return 0;  // an empty window restarts at the bottom
+  if (live >= slots_.size()) return std::nullopt;
+  const std::size_t head = slots_[(acked_seq_ + 1) % slots_.size()].offset;
+  if (wrap_seq_ != 0) {
+    // Live frames at both ends: the room is the gap between them.
+    if (ring_tail_ + bytes <= head) return ring_tail_;
+    return std::nullopt;
+  }
+  if (ring_tail_ + bytes <= ring_.size()) return ring_tail_;
+  if (bytes <= head) return 0;  // wrap below the oldest frame
+  return std::nullopt;
+}
+
 TcpTupleSink::Handoff TcpTupleSink::send(DataTuple& t) {
-  if (window_.size() >= options_.retransmit_window) {
-    // Bounded memory: block on ack progress, not on more buffering.
-    if (await_ack_progress() == IoResult::kClosed) on_outage();
+  const std::size_t bytes = io::encoded_tuple_bytes(t);
+  const std::optional<std::size_t> offset = free_offset(bytes);
+  if (!offset) {
+    // Window full.  Sending what is held also reads the acks that came
+    // back; only a window those acks did not free waits on the receiver
+    // (bounded memory, not more buffering).
+    const std::uint64_t before = acked_seq_;
+    transmit();
+    if (connected_ && acked_seq_ == before && !free_offset(bytes) &&
+        await_ack_progress() == IoResult::kClosed) {
+      on_outage();
+    }
     return Handoff::kHeld;
   }
-  const std::uint64_t seq = next_seq_++;
-  if (window_.empty()) last_ack_progress_ = Clock::now();
-  window_.push_back({seq, io::encode_tuple(t, seq)});
-  window_depth_.store(window_.size(), std::memory_order_relaxed);
-  if (connected_) {
-    const IoResult r = send_frame(window_.back().frame);
-    if (r == IoResult::kClosed) {
-      on_outage();  // the frame stays windowed; replayed on resume
-    } else if (r == IoResult::kOk) {
-      idle();
+  const std::uint64_t seq = next_seq_;
+  if (windowed() == 0) {
+    // The ring holds a full window of the largest frame seen; it is sized
+    // (once, for a steady stream) only while nothing is windowed.
+    if (ring_.size() < bytes * slots_.size()) {
+      ring_.resize(bytes * slots_.size());
     }
+    wrap_seq_ = 0;
+    last_ack_progress_ = Clock::now();
+  } else if (*offset == 0) {
+    wrap_seq_ = seq;
+  }
+  const std::size_t n = io::encode_tuple_into(
+      std::span<std::uint8_t>(ring_.data() + *offset, bytes), t, seq);
+  if (arena_) arena_->release(t);  // the frame is the tuple now
+  slot(seq) = {*offset, n};
+  ring_tail_ = *offset + n;
+  ++next_seq_;
+  window_depth_.store(windowed(), std::memory_order_relaxed);
+  if (!connected_) return Handoff::kTaken;  // replayed on resume
+  // The first held frame opens the flush slice; a quiet input sends the
+  // batch from idle().  Under backlog the sink never waits: the batch goes
+  // out once the slice ran out without the input going quiet, or once half
+  // the window is held.
+  const auto now = Clock::now();
+  if (held() == 1) {
+    flush_due_ = now + kFlushSlice;
+    slice_slept_ = false;
+  }
+  if ((now >= flush_due_ && !slice_slept_) ||
+      held() >= (slots_.size() + 1) / 2) {
+    transmit();
   }
   return Handoff::kTaken;
 }
 
 std::uint64_t TcpTupleSink::flush() {
-  // Wait for the receiver to ack every tuple still in the window.
-  // Bounded: a reconnect budget that makes no ack progress twice in a row
-  // gives up, and whatever the receiver never confirmed is returned for
-  // counting as lossy-link drops — conservation stays exact even when the
-  // far side is gone for good.
+  // Send what the flush slice held, then wait for the receiver to ack every
+  // tuple still in the window.  Bounded: a reconnect budget that makes no
+  // ack progress twice in a row gives up, and whatever the receiver never
+  // confirmed is returned for counting as lossy-link drops — conservation
+  // stays exact even when the far side is gone for good.
+  transmit();
   int stalled_recoveries = 0;
   std::uint64_t progress_mark = acked_seq_;
-  while (!window_.empty() && !stop_requested()) {
+  while (windowed() > 0 && !stop_requested()) {
     if (degraded_.load(std::memory_order_relaxed) || !connected_) {
       if (stalled_recoveries >= 2 ||
           establish_session(options_.connect_attempts) != IoResult::kOk) {
@@ -612,14 +723,15 @@ std::uint64_t TcpTupleSink::flush() {
       ++stalled_recoveries;
     }
   }
-  const std::uint64_t unconfirmed = window_.size();
-  window_.clear();
+  const std::uint64_t unconfirmed = windowed();
   window_depth_.store(0, std::memory_order_relaxed);
   if (connected_ && !stop_requested()) {
     // Clean end of stream: the receiver may close its output (exit_on_bye)
     // or just end the connection.
-    (void)send_frame(io::encode_control_frame(io::FrameType::kBye,
-                                              next_seq_ - 1));
+    if (write_span(io::control_frame(io::FrameType::kBye, next_seq_ - 1)) ==
+        IoResult::kOk) {
+      frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    }
     ::shutdown(fd_, SHUT_WR);
   }
   teardown_socket();

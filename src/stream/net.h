@@ -14,16 +14,24 @@
 // and poll-driven deadlines on every connect, read and write, so a stalled
 // peer can never wedge shutdown.
 //
+// Batching is the sender's decision, not Nagle's: both sockets set
+// TCP_NODELAY, the sink encodes frames straight into one byte ring, sized
+// once, that is both its send buffer and its retransmit window, and hands
+// every unsent run to the kernel in one send() — at once under backlog,
+// after a fixed flush slice when the input is quiet.  The receiver acks
+// once per read burst (DESIGN.md "Transport", "Batching on the wire").
+//
 // Determinism: layer a FaultInjector (stream/fault.h) under the sink's
 // socket calls to replay connect failures, partial writes, stalls, resets,
 // and bit flips at exact connect attempts and byte offsets.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,16 +42,17 @@ namespace astro::stream {
 
 /// Sink-side (sender) transport knobs.
 struct TcpTransportOptions {
-  /// Max unacked frames buffered for retransmission.  A full window blocks
-  /// new sends until the receiver acks (bounded memory, natural
-  /// backpressure through the transport).
+  /// Max unacked frames buffered for retransmission (at least 1).  A full
+  /// window blocks new sends until the receiver acks (bounded memory,
+  /// natural backpressure through the transport).  The frame ring holds
+  /// this many frames of the largest size seen.
   std::size_t retransmit_window = 256;
   /// Connect attempts per outage (including the initial connect).  When
   /// the budget is exhausted the sink flips to degraded (lossy, counted)
   /// mode and keeps probing at heal_interval.
   int connect_attempts = 10;
   std::chrono::milliseconds connect_timeout{1000};  ///< per attempt
-  std::chrono::milliseconds write_timeout{2000};    ///< per frame
+  std::chrono::milliseconds write_timeout{2000};    ///< per send batch
   /// Max wait for cumulative-ack progress (handshake reply, full window,
   /// final flush) before the connection is declared dead.
   std::chrono::milliseconds ack_timeout{2000};
@@ -60,11 +69,9 @@ struct TcpTransportOptions {
 
 /// Server-side (receiver) transport knobs.
 struct TcpServerOptions {
-  /// Cumulative ack cadence in applied frames; an idle gap also acks.
+  /// Cap on applied frames per cumulative ack inside one long read burst;
+  /// every burst ends with an ack anyway.
   std::size_t ack_every = 32;
-  /// Poll slice: after this long with nothing to read, pending applied
-  /// frames are acked so a quiescing sender's flush completes promptly.
-  std::chrono::milliseconds idle_ack{50};
   std::chrono::milliseconds write_timeout{2000};  ///< per control frame
   /// Stop serving (and close the output) once a clean kBye end-of-stream
   /// marker arrives — how a receiver process knows the stream is over.
@@ -151,6 +158,7 @@ class TcpTupleSink final : public SessionSink {
 
  protected:
   bool open() override;
+  [[nodiscard]] std::chrono::microseconds pop_wait() const override;
   void idle() override;
   bool heal() override;
   Handoff send(DataTuple& t) override;
@@ -159,9 +167,10 @@ class TcpTupleSink final : public SessionSink {
 
  private:
   enum class IoResult { kOk, kClosed, kStopped };
-  struct WindowEntry {
-    std::uint64_t seq;
-    std::vector<std::uint8_t> frame;
+  /// Where a windowed frame sits in the ring.
+  struct FrameSlot {
+    std::size_t offset = 0;
+    std::size_t bytes = 0;
   };
 
   bool try_connect();
@@ -169,7 +178,15 @@ class TcpTupleSink final : public SessionSink {
   IoResult establish_session(int attempts);
   IoResult handshake();
   IoResult retransmit_unacked();
-  IoResult send_frame(const std::vector<std::uint8_t>& frame);
+  /// Writes `bytes` whole (through the fault schedule), waiting for socket
+  /// room only when the kernel refuses more; bounded by write_timeout.
+  IoResult write_span(std::span<const std::uint8_t> bytes);
+  /// Hands every unsent windowed frame to the socket: one send per
+  /// contiguous run (two when the run crosses the ring's wrap).
+  IoResult send_pending();
+  /// send_pending(), then one non-blocking read of the acks that came
+  /// back; an outage on either reconnects.
+  void transmit();
   bool drain_receiver(std::optional<std::uint64_t>* hello_ack = nullptr);
   /// Polls within ack_timeout for cumulative-ack progress, or for the
   /// HELLO-ACK when `hello_ack` is given.
@@ -180,6 +197,19 @@ class TcpTupleSink final : public SessionSink {
   void enter_degraded();
   [[nodiscard]] std::chrono::milliseconds jittered(
       std::chrono::milliseconds backoff);
+  [[nodiscard]] std::uint64_t windowed() const noexcept {
+    return next_seq_ - 1 - acked_seq_;
+  }
+  /// Windowed frames not yet written on this connection.
+  [[nodiscard]] std::uint64_t held() const noexcept {
+    return next_seq_ - 1 - sent_seq_;
+  }
+  [[nodiscard]] FrameSlot& slot(std::uint64_t seq) noexcept {
+    return slots_[seq % slots_.size()];
+  }
+  /// Ring offset where a `bytes`-long frame fits next, if it does.
+  [[nodiscard]] std::optional<std::size_t> free_offset(
+      std::size_t bytes) const;
 
   std::uint16_t port_;
   TcpTransportOptions options_;
@@ -189,8 +219,19 @@ class TcpTupleSink final : public SessionSink {
 
   std::uint64_t next_seq_ = 1;   // next transport seq to assign
   std::uint64_t acked_seq_ = 0;  // highest cumulative ack received
-  std::deque<WindowEntry> window_;
-  std::vector<std::uint8_t> read_buffer_;
+  std::uint64_t sent_seq_ = 0;   // highest seq written on this connection
+  std::uint64_t high_sent_ = 0;  // highest seq ever written (retransmits)
+  // The frame ring: the window's frames, encoded in place in seq order.  A
+  // frame never straddles the end; the first frame placed back at offset 0
+  // while older ones still sit at the top is wrap_seq_ (0 = no wrap live).
+  std::vector<std::uint8_t> ring_;
+  std::vector<FrameSlot> slots_;  // retransmit_window entries, by seq
+  std::size_t ring_tail_ = 0;     // end of the newest frame
+  std::uint64_t wrap_seq_ = 0;
+  std::chrono::steady_clock::time_point flush_due_{};  // held frames go out
+  bool slice_slept_ = false;  // idle() slept out the current flush slice
+  std::array<std::uint8_t, 4096> read_buffer_{};  // acks from the receiver
+  std::size_t read_fill_ = 0;
   std::vector<std::uint8_t> send_scratch_;  // flip-damaged copies
   std::chrono::steady_clock::time_point last_ack_progress_{};
   std::chrono::steady_clock::time_point next_heal_{};

@@ -10,7 +10,6 @@ namespace astro::stream {
 // ---------------------------------------------------------------------------
 
 void SessionSink::run() {
-  using namespace std::chrono_literals;
   if (!open()) {
     set_stop_reason(StopReason::kRequested);
     return;
@@ -27,7 +26,7 @@ void SessionSink::run() {
       degraded_.store(false, std::memory_order_relaxed);
     }
     if (!have) {
-      if (!in_->pop_for(t, 50ms)) {
+      if (!in_->pop_for(t, pop_wait())) {
         if (in_->closed() && in_->size() == 0) break;  // flush below
         idle();
         continue;

@@ -22,6 +22,7 @@
 //     delivery validates and routes each tuple on the receive thread.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -60,6 +61,13 @@ struct SessionServerCounters {
 /// The sender's run loop.  A carrier supplies the I/O through the hooks
 /// below; the loop owns the accounting and the stop reason.
 class SessionSink : public Operator {
+ public:
+  /// Closes the sender's half of the slab recycle loop: once a tuple is
+  /// encoded onto the carrier (or counted dropped) its payload goes back to
+  /// `arena` for the source to re-lease.  Call before start().  Null =
+  /// payloads are plain heap vectors.
+  void set_arena(TupleArena* arena) noexcept { arena_ = arena; }
+
  protected:
   SessionSink(std::string name, ChannelPtr<DataTuple> in)
       : Operator(std::move(name)), in_(std::move(in)) {}
@@ -76,8 +84,13 @@ class SessionSink : public Operator {
   /// Opens the first session.  A link that cannot come up sets degraded_
   /// instead of failing.  Returns false when stopped before it was up.
   virtual bool open() = 0;
-  /// No tuple arrived within the poll slice: service acks, heartbeats and
-  /// liveness watchdogs.
+  /// How long the run loop waits for the next tuple before it calls
+  /// idle(); a carrier holding a partly filled send batch waits less.
+  [[nodiscard]] virtual std::chrono::microseconds pop_wait() const {
+    return std::chrono::milliseconds(50);
+  }
+  /// No tuple arrived within pop_wait(): flush held sends, service acks,
+  /// heartbeats and liveness watchdogs.
   virtual void idle() = 0;
   /// Called each loop turn while degraded; true = the link is healthy.
   virtual bool heal() = 0;
@@ -110,6 +123,11 @@ class SessionSink : public Operator {
 /// progress back to the sender.
 class SessionServer : public Operator {
  public:
+  /// The receiver's half: each delivered tuple's payload is leased from
+  /// `arena` (released downstream as usual).  Call before start().  Null =
+  /// plain heap payloads.
+  void set_arena(TupleArena* arena) noexcept { arena_ = arena; }
+
   /// Records rejected frames in `dead_letters` (non-owning) as husks with
   /// reason kCorruptFrame, on the receive thread.  Call before start().
   void set_dead_letters(Recorder<DeadLetter>* dead_letters) noexcept {

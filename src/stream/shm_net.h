@@ -91,12 +91,6 @@ class ShmTupleSink final : public SessionSink {
     return segment_->name();
   }
 
-  /// Closes the producer-side slab recycle loop: once a tuple is encoded
-  /// into its ring slot (or counted dropped) its payload goes back to
-  /// `arena` for the source to re-lease.  Call before start().  Null =
-  /// payloads are plain heap vectors.
-  void set_arena(TupleArena* arena) noexcept { arena_ = arena; }
-
   [[nodiscard]] ShmSinkCounters counters() const noexcept;
 
  protected:
@@ -139,11 +133,6 @@ class ShmTupleServer final : public SessionServer {
   ShmTupleServer(std::string name, std::string segment,
                  DataEdge out, ShmTransportOptions options = {});
   ~ShmTupleServer() override;
-
-  /// Wires the zero-alloc decode path: each delivered tuple's payload is
-  /// leased from `arena` (released downstream as usual).  Call before
-  /// start().  Null = plain heap payloads.
-  void set_arena(TupleArena* arena) noexcept { arena_ = arena; }
 
   [[nodiscard]] ShmServerCounters counters() const noexcept;
 

@@ -69,9 +69,20 @@ pca::EigenSystem PcaEngineOperator::snapshot() const {
   return pca_.eigensystem();
 }
 
-pca::EigenSystem PcaEngineOperator::serve_snapshot() const {
+EngineSample PcaEngineOperator::sample(bool feed, bool serve) const {
+  EngineSample s;
   std::lock_guard lock(state_mutex_);
-  return pca_.serve_system();
+  const pca::EigenSystem* state = feed ? &pca_.eigensystem() : nullptr;
+  if (state != nullptr && state->initialized()) {
+    s.feed = SnapshotTuple{.engine = id_,
+                           .observations = state->observations(),
+                           .eigenvalues = state->eigenvalues(),
+                           .sigma2 = state->sigma2(),
+                           .retained_variance = state->retained_variance(),
+                           .outliers = stats_.outliers};
+  }
+  if (serve) s.served = pca_.serve_system();
+  return s;
 }
 
 EngineStats PcaEngineOperator::stats() const {

@@ -42,6 +42,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "pca/health.h"
@@ -57,6 +58,30 @@
 #include "sync/independence.h"
 
 namespace astro::sync {
+
+/// One engine's state at one instant: the snapshot feed's tuple
+/// (sync/snapshot_publisher.h).
+struct SnapshotTuple {
+  std::int64_t timestamp_us = 0;
+  int engine = -1;
+  std::uint64_t observations = 0;
+  linalg::Vector eigenvalues;  ///< current spectrum (reported rank)
+  double sigma2 = 0.0;
+  double retained_variance = 0.0;
+  std::uint64_t outliers = 0;
+};
+
+/// What a snapshot publisher reads of one engine per round.
+struct EngineSample {
+  /// The feed summary of the current eigensystem (timestamp unset), when
+  /// asked for and initialized.
+  std::optional<SnapshotTuple> feed;
+  /// The system the serving layer publishes: the eigensystem itself in
+  /// truncated mode, the rank-(p+q) continuity view in exact mode (the
+  /// rank-d exact emit is a state carrier, not a servable basis — see
+  /// RobustIncrementalPca::serve_system()).  Empty unless asked for.
+  pca::EigenSystem served;
+};
 
 struct EngineStats {
   std::uint64_t tuples = 0;            ///< data tuples applied to the state
@@ -111,12 +136,10 @@ class PcaEngineOperator final : public stream::Operator {
   /// Thread-safe snapshot of the current eigensystem.
   [[nodiscard]] pca::EigenSystem snapshot() const;
 
-  /// Thread-safe snapshot of the system the serving layer should
-  /// publish: identical to snapshot() in truncated mode, the rank-(p+q)
-  /// continuity view in exact mode (the rank-d exact emit is a state
-  /// carrier, not a servable basis — see RobustIncrementalPca::
-  /// serve_system()).
-  [[nodiscard]] pca::EigenSystem serve_snapshot() const;
+  /// One state-lock trip for a snapshot publisher round: the feed summary
+  /// of the current eigensystem when `feed`, and the serve view when
+  /// `serve`.
+  [[nodiscard]] EngineSample sample(bool feed, bool serve) const;
 
   [[nodiscard]] EngineStats stats() const;
   [[nodiscard]] int engine_id() const noexcept { return id_; }

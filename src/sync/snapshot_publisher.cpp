@@ -19,25 +19,41 @@ SnapshotPublisher::SnapshotPublisher(std::string name,
       interval_seconds_(interval_seconds),
       server_(server) {}
 
-void SnapshotPublisher::publish_to_server() {
-  // The serving layer's poison discipline (PR 4): a watchdog-quarantined
-  // engine must not contribute to what millions of readers see, and a
-  // non-finite snapshot must never be published at all.  Gathering is
-  // per-engine — one gated engine suppresses its own contribution, not the
-  // round; only a round with NO eligible engine is suppressed entirely
-  // (readers then keep serving the previous version).
+void SnapshotPublisher::sample_round() {
+  // One state-lock trip per engine feeds both consumers.  The serving
+  // layer's poison discipline: a watchdog-quarantined engine must
+  // not contribute to what millions of readers see, and a non-finite
+  // snapshot must never be published at all.  Gathering is per-engine —
+  // one gated engine suppresses its own contribution, not the round; only
+  // a round with NO eligible engine is suppressed entirely (readers then
+  // keep serving the previous version).
+  const auto feed_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                           std::chrono::steady_clock::now().time_since_epoch())
+                           .count();
   std::vector<pca::EigenSystem> eligible;
   int single_engine = -1;
   for (PcaEngineOperator* engine : engines_) {
-    if (!engine->healthy()) continue;
-    // The serve view, not the raw state: identical for truncated engines,
-    // the rank-(p+q) continuity view for exact-mode ones.
-    pca::EigenSystem state = engine->serve_snapshot();
-    if (!state.initialized()) continue;
-    if (!pca::all_finite(state)) continue;
-    single_engine = engine->engine_id();
-    eligible.push_back(std::move(state));
+    const bool serve = server_ != nullptr && engine->healthy();
+    if (feed_ == nullptr && !serve) continue;
+    const std::uint64_t t_build = stream::OperatorMetrics::now_ns();
+    EngineSample sample = engine->sample(feed_ != nullptr, serve);
+    if (sample.feed) {
+      sample.feed->timestamp_us = feed_us;
+      feed_->record(*sample.feed);
+      metrics_.record_proc_ns(stream::OperatorMetrics::now_ns() - t_build);
+      metrics_.record_out();
+    }
+    if (serve && sample.served.initialized() &&
+        pca::all_finite(sample.served)) {
+      single_engine = engine->engine_id();
+      eligible.push_back(std::move(sample.served));
+    }
   }
+  if (server_ != nullptr) publish(eligible, single_engine);
+}
+
+void SnapshotPublisher::publish(std::vector<pca::EigenSystem>& eligible,
+                                int single_engine) {
   if (eligible.empty()) {
     server_->note_publish_suppressed();
     return;
@@ -60,28 +76,6 @@ void SnapshotPublisher::publish_to_server() {
   server_->publish(pca::merge(eligible), -1, now_us);
 }
 
-void SnapshotPublisher::record_feed() {
-  const auto now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now().time_since_epoch())
-                          .count();
-  for (PcaEngineOperator* engine : engines_) {
-    const std::uint64_t t_build = stream::OperatorMetrics::now_ns();
-    const pca::EigenSystem state = engine->snapshot();
-    if (!state.initialized()) continue;
-    SnapshotTuple t;
-    t.timestamp_us = now_us;
-    t.engine = engine->engine_id();
-    t.observations = state.observations();
-    t.eigenvalues = state.eigenvalues();
-    t.sigma2 = state.sigma2();
-    t.retained_variance = state.retained_variance();
-    t.outliers = engine->stats().outliers;
-    feed_->record(t);
-    metrics_.record_proc_ns(stream::OperatorMetrics::now_ns() - t_build);
-    metrics_.record_out();
-  }
-}
-
 void SnapshotPublisher::run() {
   using Clock = std::chrono::steady_clock;
   const auto started = Clock::now();
@@ -96,8 +90,7 @@ void SnapshotPublisher::run() {
     // interval and the parked publisher costs no polling wakeups.
     if (wait_until_stopped(due)) break;
     ++round;
-    if (feed_ != nullptr) record_feed();
-    if (server_ != nullptr) publish_to_server();
+    sample_round();
   }
   set_stop_reason(stream::StopReason::kRequested);
 }

@@ -37,17 +37,6 @@
 
 namespace astro::sync {
 
-/// One engine's state at one instant.
-struct SnapshotTuple {
-  std::int64_t timestamp_us = 0;
-  int engine = -1;
-  std::uint64_t observations = 0;
-  linalg::Vector eigenvalues;  ///< current spectrum (reported rank)
-  double sigma2 = 0.0;
-  double retained_variance = 0.0;
-  std::uint64_t outliers = 0;
-};
-
 class SnapshotPublisher final : public stream::Operator {
  public:
   /// Samples `engines` every `interval_seconds` until stop is requested
@@ -65,11 +54,12 @@ class SnapshotPublisher final : public stream::Operator {
   void run() override;
 
  private:
-  /// Merge the healthy engines' snapshots into the served version for this
-  /// round; a round with no eligible engine is counted as suppressed.
-  void publish_to_server();
-  /// Records one SnapshotTuple per initialized engine.
-  void record_feed();
+  /// Reads each engine once: records one SnapshotTuple per initialized
+  /// engine, and gathers the healthy engines' serve views for publish().
+  void sample_round();
+  /// Merges `eligible` into the served version for this round; a round
+  /// with no eligible engine is counted as suppressed.
+  void publish(std::vector<pca::EigenSystem>& eligible, int single_engine);
 
   std::vector<PcaEngineOperator*> engines_;
   stream::Recorder<SnapshotTuple>* feed_;

@@ -385,8 +385,10 @@ TEST(AllocCount, ServeReaderPathIsAllocationFreeAtSteadyState) {
 
 /// Allocations of one full-pipeline run over `tuples` tuples (see
 /// FullPipelineSteadyStateIsAllocationFreePerTuple), with redshift-band
-/// masks on most tuples when `masked`.
-std::uint64_t full_pipeline_allocations(std::size_t tuples, bool masked) {
+/// masks on most tuples when `masked`, and the TCP transport between the
+/// source and the split when `tcp`.
+std::uint64_t full_pipeline_allocations(std::size_t tuples, bool masked,
+                                        bool tcp) {
   stats::Rng rng(7707);  // same seed: the warm prefix is identical
   std::vector<Vector> data;
   std::vector<pca::PixelMask> masks;
@@ -404,6 +406,13 @@ std::uint64_t full_pipeline_allocations(std::size_t tuples, bool masked) {
   cfg.validate_ingest = true;
   cfg.sync_rate_hz = 0.0;      // no control plane (see below)
   cfg.channel_capacity = 128;  // keeps the arena prealloc modest
+  if (tcp) {
+    // Behind TCP the pool's channel share grows on demand, as fast as the
+    // link happens to back up: prefill it (every channel full) so the two
+    // runs differ in stream length only.
+    cfg.transport.enabled = true;
+    cfg.arena_capacity = 5 * cfg.channel_capacity + 4 * (8 + 4) + 64;
+  }
   app::StreamingPcaPipeline pipeline(cfg, std::move(data), std::move(masks));
 
   perf::AllocWindow window;
@@ -413,12 +422,13 @@ std::uint64_t full_pipeline_allocations(std::size_t tuples, bool masked) {
 
 /// Marginal allocations per tuple: the allocation difference between two
 /// runs identical in everything but stream length.
-double full_pipeline_allocs_per_tuple(bool masked) {
+double full_pipeline_allocs_per_tuple(bool masked, bool tcp = false) {
   constexpr std::size_t kWarmTuples = 600;
   constexpr std::size_t kExtraTuples = 1000;
-  const std::uint64_t base = full_pipeline_allocations(kWarmTuples, masked);
+  const std::uint64_t base =
+      full_pipeline_allocations(kWarmTuples, masked, tcp);
   const std::uint64_t longer =
-      full_pipeline_allocations(kWarmTuples + kExtraTuples, masked);
+      full_pipeline_allocations(kWarmTuples + kExtraTuples, masked, tcp);
   return longer <= base ? 0.0 : double(longer - base) / double(kExtraTuples);
 }
 
@@ -445,6 +455,15 @@ TEST(AllocCount, FullPipelineWithMasksIsAllocationFreePerTuple) {
   // slabs, and the engines patch them in their workspaces.
   EXPECT_LT(full_pipeline_allocs_per_tuple(/*masked=*/true), 0.05)
       << "masked full pipeline allocated per tuple at steady state";
+}
+
+TEST(AllocCount, FullPipelineOverTcpIsAllocationFreePerTuple) {
+  // The same differential design with the TCP transport in the data path:
+  // the sink encodes each tuple into its frame ring and releases the slab,
+  // the server decodes into an arena lease, and acks are by-value frames.
+  EXPECT_LT(full_pipeline_allocs_per_tuple(/*masked=*/false, /*tcp=*/true),
+            0.05)
+      << "TCP pipeline allocated per tuple at steady state";
 }
 
 TEST(AllocCount, ProbeCountsAllocations) {

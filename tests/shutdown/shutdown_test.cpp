@@ -37,6 +37,9 @@ using namespace std::chrono_literals;
 constexpr auto kStopBound = 500ms;
 /// Last engine apply -> wait() returned, with sync commands paced at 2 Hz.
 constexpr auto kResultBound = 100ms;
+/// The same behind the TCP transport: the end-of-stream flush waits for one
+/// ack round trip, never for a receiver poll slice.
+constexpr auto kTcpResultBound = 20ms;
 
 long long ms(Clock::duration d) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(d).count();
@@ -366,24 +369,12 @@ TEST(ShutdownValidate, StopMidStreamWithValidationJoinsPromptly) {
 // at different phases of the 0.5 s sync tick, before and after the first.
 class ShutdownPipeline : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(ShutdownPipeline, WaitReturnsPromptlyAfterLastApply) {
-  const std::size_t n = GetParam();
-  app::PipelineConfig cfg;
-  cfg.pca.dim = 12;
-  cfg.pca.rank = 2;
-  cfg.engines = 2;
-  cfg.sync_rate_hz = 2.0;
-  cfg.source_rate = 1000.0;
-  stats::Rng rng(7000 + n);
-  const auto model = pca::testing::make_model(rng, 12, 2, 2.0, 0.05);
-  std::vector<linalg::Vector> data;
-  for (std::size_t i = 0; i < n; ++i) {
-    data.push_back(pca::testing::draw(model, rng));
-  }
-  app::StreamingPcaPipeline p(cfg, std::move(data));
-
-  // Poll the applied count through engine_stats(); the last change is the
-  // last apply, seen up to one poll late.
+/// Runs `p` to completion and returns the time from its last engine apply
+/// to wait() returning.  The applied count is polled through
+/// engine_stats(); its last change is the last apply, seen up to one poll
+/// late.  Expects all `n` tuples applied.
+Clock::duration last_apply_to_wait(app::StreamingPcaPipeline& p,
+                                   std::size_t n) {
   std::uint64_t applied = 0;
   Clock::time_point last_apply = Clock::now();
   std::jthread poller([&](std::stop_token st) {
@@ -404,11 +395,54 @@ TEST_P(ShutdownPipeline, WaitReturnsPromptlyAfterLastApply) {
   const auto t_done = Clock::now();
   poller.request_stop();
   poller.join();
+  EXPECT_EQ(applied, n);
+  return t_done - last_apply;
+}
 
-  ASSERT_EQ(applied, n);
-  const auto gap = t_done - last_apply;
+/// `n` draws from a rank-2 model in d = 12.
+std::vector<linalg::Vector> model_stream(std::size_t n) {
+  stats::Rng rng(7000 + n);
+  const auto model = pca::testing::make_model(rng, 12, 2, 2.0, 0.05);
+  std::vector<linalg::Vector> data;
+  for (std::size_t i = 0; i < n; ++i) {
+    data.push_back(pca::testing::draw(model, rng));
+  }
+  return data;
+}
+
+TEST_P(ShutdownPipeline, WaitReturnsPromptlyAfterLastApply) {
+  const std::size_t n = GetParam();
+  app::PipelineConfig cfg;
+  cfg.pca.dim = 12;
+  cfg.pca.rank = 2;
+  cfg.engines = 2;
+  cfg.sync_rate_hz = 2.0;
+  cfg.source_rate = 1000.0;
+  app::StreamingPcaPipeline p(cfg, model_stream(n));
+  const auto gap = last_apply_to_wait(p, n);
   EXPECT_LT(gap, kResultBound)
       << "wait() returned " << ms(gap) << " ms after the last apply";
+}
+
+TEST(ShutdownTcpPipeline, WaitReturnsWithin20msOfLastApply) {
+  // Behind the TCP transport the stream's end is the sink's flush: the
+  // final ack leaves with the receiver's last read burst, so wait() does
+  // not sit out a receiver poll slice after the last apply.
+  constexpr std::size_t kN = 300;
+  app::PipelineConfig cfg;
+  cfg.pca.dim = 12;
+  cfg.pca.rank = 2;
+  cfg.engines = 2;
+  cfg.sync_rate_hz = 2.0;
+  cfg.source_rate = 1000.0;
+  cfg.transport.enabled = true;
+  cfg.transport.kind = app::PipelineConfig::TransportOptions::Kind::kTcp;
+  app::StreamingPcaPipeline p(cfg, model_stream(kN));
+  const auto gap = last_apply_to_wait(p, kN);
+  EXPECT_LT(gap, kTcpResultBound)
+      << "wait() returned " << ms(gap) << " ms after the last apply";
+  ASSERT_NE(p.transport_uplink(), nullptr);
+  EXPECT_EQ(p.transport_uplink()->counters().acked, kN);
 }
 
 INSTANTIATE_TEST_SUITE_P(StreamLengths, ShutdownPipeline,

@@ -16,6 +16,11 @@
 //
 // Faults trigger at byte offsets of the outgoing stream, never at
 // wall-clock times, so a seed's schedule replays identically run after run.
+//
+// The sink coalesces frames: each send() carries a whole run of them.  A
+// second property cuts those runs with a partial send at every byte offset
+// of a frame, with a flip and a reset landing inside a run, and asserts the
+// same exactly-once and conservation ledger.
 
 #include <gtest/gtest.h>
 
@@ -159,6 +164,77 @@ TEST(TransportProperty, ConservationHoldsAcross20Seeds) {
     EXPECT_LE(r.sink.sessions, r.sink.reconnects + 1);
     EXPECT_GE(r.server.resumes + 1, r.server.sessions);
     EXPECT_EQ(r.server.byes, 1u);
+  }
+}
+
+TEST(TransportProperty, CoalescedBurstsCutAtEveryOffsetConserve) {
+  // The whole stream is queued before the sink starts, so it never waits
+  // for input: every send carries a run of half the window (4 frames, 384
+  // bytes).  Chunk cap `cut` ends the first partial send of every run
+  // `cut` bytes in; over cut = 1..frame size that is every byte offset of
+  // a frame.  The flip damages frame 5, the middle of the second run; the
+  // reset kills the recovery's replay inside its first run.
+  constexpr std::size_t kN = 24;
+  for (std::size_t cut = 1; cut <= kTupleFrame; ++cut) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    auto fault = std::make_shared<FaultInjector>(cut);
+    fault->chunk_writes(FaultInjector::kEveryConnection, cut);
+    fault->flip_at(0, kHello + 5 * kTupleFrame + io::kFrameHeaderBytes + 24 +
+                          cut % (kDim * 8));
+    fault->reset_at(1, kHello + 2 * kTupleFrame + cut % kTupleFrame);
+
+    auto to_sink = make_channel<DataTuple>(kN);
+    auto from_server = make_channel<DataTuple>(kN);
+    for (std::size_t i = 0; i < kN; ++i) {
+      DataTuple t;
+      t.seq = i;
+      t.values = linalg::Vector(kDim, double(i));
+      ASSERT_TRUE(to_sink->push(std::move(t)));
+    }
+    to_sink->close();
+
+    TcpTransportOptions opts;
+    opts.retransmit_window = 8;
+    opts.write_timeout = milliseconds(500);
+    opts.ack_timeout = milliseconds(40);
+    opts.backoff_initial = milliseconds(1);
+    opts.backoff_max = milliseconds(4);
+    opts.fault = fault;
+    TcpServerOptions sopts;
+    sopts.ack_every = 4;
+    sopts.exit_on_bye = true;
+    FlowGraph graph;
+    auto* server =
+        graph.add<TcpTupleServer>("server", 0, from_server, 0, sopts);
+    auto* sink =
+        graph.add<TcpTupleSink>("sink", server->port(), to_sink, opts);
+    auto* collector =
+        graph.add<CollectorSink<DataTuple>>("collect", from_server);
+    graph.start();
+    graph.wait();
+
+    std::set<std::uint64_t> seqs;
+    for (const auto& t : collector->snapshot()) {
+      EXPECT_TRUE(seqs.insert(t.seq).second) << "duplicate seq " << t.seq;
+    }
+    EXPECT_EQ(seqs.size(), kN);
+    EXPECT_EQ(fault->injected(Fault::kFlip), 1u);
+    EXPECT_EQ(fault->injected(Fault::kReset), 1u);
+
+    // Applied + quarantined == emitted, on both sides of the link.
+    const TcpServerCounters sc = server->counters();
+    const TcpSinkCounters kc = sink->counters();
+    EXPECT_EQ(sc.delivered, kN);
+    EXPECT_EQ(sc.crc_rejects, 1u);
+    EXPECT_EQ(sc.protocol_errors, 0u);
+    const OperatorMetrics& m = server->metrics();
+    EXPECT_EQ(m.tuples_in(),
+              m.tuples_out() + m.dropped() + sc.duplicates + sc.out_of_order);
+    EXPECT_EQ(kc.accepted, kN);
+    EXPECT_EQ(kc.acked, kN);
+    EXPECT_EQ(kc.lossy_dropped, 0u);
+    EXPECT_EQ(kc.window_depth, 0u);
+    EXPECT_GE(kc.retransmits, 1u);
   }
 }
 

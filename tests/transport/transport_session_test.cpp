@@ -15,6 +15,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,6 +24,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <set>
@@ -297,6 +299,64 @@ TEST(TransportSession, ForcedPartialWritesDeliverEverything) {
   EXPECT_EQ(c.acked, kN);
   EXPECT_EQ(c.lossy_dropped, 0u);
   EXPECT_EQ(c.outages, 0u);
+}
+
+/// TCP_NODELAY of every connected loopback socket of this process with
+/// `port` at either end, found through /proc/self/fd.
+std::vector<int> nodelay_of_connections_on(std::uint16_t port) {
+  std::vector<int> out;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    const int fd = std::stoi(entry.path().filename().string());
+    sockaddr_in local{};
+    sockaddr_in peer{};
+    socklen_t len = sizeof(local);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET) {
+      continue;
+    }
+    len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0) {
+      continue;  // the listener, or not connected
+    }
+    if (ntohs(local.sin_port) != port && ntohs(peer.sin_port) != port) {
+      continue;
+    }
+    int nodelay = 0;
+    len = sizeof(nodelay);
+    EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    out.push_back(nodelay);
+  }
+  return out;
+}
+
+TEST(TransportSession, BothSocketsSetNoDelay) {
+  // Batching is the sink's decision: neither end may leave a small send to
+  // Nagle's ACK-timed hold.
+  auto to_sink = make_channel<DataTuple>(64);
+  auto from_server = make_channel<DataTuple>(64);
+  TcpServerOptions sopts;
+  sopts.exit_on_bye = true;
+  TcpTupleServer server("server", 0, from_server, 0, sopts);
+  TcpTupleSink sink("sink", server.port(), to_sink, fast_opts(nullptr));
+  server.start();
+  sink.start();
+  DataTuple t;
+  t.values = linalg::Vector(kDim, 1.0);
+  ASSERT_TRUE(to_sink->push(std::move(t)));
+  DataTuple got;
+  EXPECT_TRUE(from_server->pop_for(got, std::chrono::seconds(10)));
+
+  // Both ends of the live connection: the sink's socket and the server's
+  // accepted one.
+  const std::vector<int> nodelay = nodelay_of_connections_on(server.port());
+  EXPECT_EQ(nodelay.size(), 2u);
+  for (const int on : nodelay) EXPECT_NE(on, 0);
+
+  to_sink->close();  // ends the stream even when nothing arrived
+  sink.join();
+  server.join();
+  EXPECT_EQ(sink.counters().acked, 1u);
 }
 
 TEST(TransportSession, DegradedLinkCountsDropsThenReheals) {
