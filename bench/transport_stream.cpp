@@ -69,8 +69,7 @@ RunResult run_pipeline(Kind kind, std::size_t engines,
     // The TCP default grows the pool's channel share on demand, as fast as
     // the link backs up; prefill it like the other rows (every channel
     // full) so the differential allocs count the recycle loop only.
-    cfg.arena_capacity = (1 + engines) * cfg.channel_capacity +
-                         engines * (cfg.batch_max + 4) + 64;
+    cfg.arena_capacity = astro::app::arena_shares(cfg).total();
   }
   astro::app::StreamingPcaPipeline p(cfg, data);
   astro::perf::AllocWindow window;

@@ -125,6 +125,15 @@ StreamingPcaPipeline::StreamingPcaPipeline(const PipelineConfig& config,
   build(config);
 }
 
+ArenaShares arena_shares(const PipelineConfig& config) {
+  const std::size_t n = config.engines;
+  ArenaShares shares;
+  shares.channels =
+      ((config.transport.enabled ? 1 : 0) + n) * config.channel_capacity;
+  shares.staging = n * (std::max<std::size_t>(config.batch_max, 1) + 4) + 64;
+  return shares;
+}
+
 void StreamingPcaPipeline::build(const PipelineConfig& config) {
   if (config.engines == 0) {
     throw std::invalid_argument("StreamingPcaPipeline: engines must be >= 1");
@@ -132,32 +141,26 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
   const std::size_t n = config.engines;
   exchange_ = std::make_shared<sync::StateExchange>(n);
 
-  // Payload arena (ISSUE 8): sized so the whole pipeline can be full of
-  // in-flight tuples — every data channel at capacity, each engine's
-  // staging batch, plus slack for tuples held by operator threads — without
-  // the pool ever growing.  Overriding via arena_capacity trades memory
-  // for growth-count noise, never correctness.  One rule for every
-  // carrier: a transport's sink releases each payload once its frame is
-  // encoded (into a ring slot or the TCP frame ring), and its server
-  // decodes into arena-leased tuples, so the recycle loop closes across
-  // the boundary.
-  const bool tcp_transport =
-      config.transport.enabled &&
-      config.transport.kind == PipelineConfig::TransportOptions::Kind::kTcp;
+  // Payload arena: sized so the whole pipeline can be full of in-flight
+  // tuples (arena_shares) without the pool ever growing.  Overriding via
+  // arena_capacity trades memory for growth-count noise, never
+  // correctness.  Every carrier keeps the arena engaged: a
+  // transport's sink releases each payload once its frame is encoded (into
+  // a ring slot or the TCP frame ring), and its server decodes into
+  // arena-leased tuples, so the recycle loop closes across the boundary.
   if (config.pca.dim > 0) {
     std::size_t slabs = config.arena_capacity;
     if (slabs == 0) {
-      // The data channels that exist: the engine ports, and with a
-      // transport the source -> uplink queue.  The fused split's in-edge
-      // buffers nothing, and recorders keep copies, never slabs.  Behind
-      // TCP the channels' share is grown on demand instead (arena_grown
-      // counts it once): prefilling 2 x 1024 slabs at d = 64 doubled the
-      // TCP pipeline's setup time and added 1 MB of RSS, for queues that
-      // stay nearly empty at the link's operating point (DESIGN.md
-      // "Batching on the wire").
-      const std::size_t data_channels = (config.transport.enabled ? 1 : 0) + n;
-      slabs = (tcp_transport ? 0 : data_channels * config.channel_capacity) +
-              n * (std::max<std::size_t>(config.batch_max, 1) + 4) + 64;
+      // Behind TCP the channels' share is grown on demand instead (at most
+      // once; arena_grown counts it): prefilling 2 x 1024 slabs at d = 64
+      // doubled the TCP pipeline's setup time and added 1 MB of RSS, for
+      // queues that stay nearly empty at the link's operating point
+      // (DESIGN.md "Batching on the wire").
+      const ArenaShares shares = arena_shares(config);
+      const bool tcp_transport =
+          config.transport.enabled &&
+          config.transport.kind == PipelineConfig::TransportOptions::Kind::kTcp;
+      slabs = tcp_transport ? shares.staging : shares.total();
     }
     arena_ = std::make_unique<stream::TupleArena>(config.pca.dim, slabs);
   }

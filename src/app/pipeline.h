@@ -73,11 +73,11 @@ struct PipelineConfig {
   /// & SIMD dispatch").  The pipeline owns a stream::TupleArena of fixed-d
   /// payload slabs; the source leases one per tuple, operators pass it by
   /// move, and the engines release it after apply — so at steady state the
-  /// data plane allocates nothing per tuple.  0 (the default) auto-sizes to
-  /// cover every data channel full plus per-engine staging headroom (behind
-  /// TCP only the staging headroom; the channels' share grows on demand);
-  /// any other value is used verbatim.  Undersizing degrades gracefully: an
-  /// exhausted pool falls back to counted heap growth, never blocking.
+  /// data plane allocates nothing per tuple.  0 (the default) prefills
+  /// arena_shares(): both shares, or behind TCP the staging share only (the
+  /// channels' share grows on demand); any other value is used verbatim.
+  /// Undersizing degrades gracefully: an exhausted pool falls back to
+  /// counted heap growth, never blocking.
   std::size_t arena_capacity = 0;
   double source_rate = 0.0;  ///< tuples/s cap at the source; 0 = unthrottled
   /// Records the observations the robust weighting rejected; outliers()
@@ -176,6 +176,19 @@ struct PipelineConfig {
   };
   TransportOptions transport;
 };
+
+/// The payload slabs a pipeline built from `config` can hold in flight.
+struct ArenaShares {
+  /// Every data channel full: the engine ports, and with a transport the
+  /// source -> uplink queue (the fused split's in-edge buffers nothing).
+  std::size_t channels = 0;
+  /// Each engine's staging batch plus slack for tuples held by operator
+  /// threads; recorders keep copies, never slabs.
+  std::size_t staging = 0;
+  [[nodiscard]] std::size_t total() const noexcept { return channels + staging; }
+};
+
+[[nodiscard]] ArenaShares arena_shares(const PipelineConfig& config);
 
 class StreamingPcaPipeline {
  public:

@@ -26,8 +26,9 @@ using std::chrono::milliseconds;
 
 constexpr std::size_t kRecvChunk = 64 * 1024;
 constexpr int kPollSliceMs = 50;
-/// How long a receiver waits before retrying an ack the applied watermark
-/// held back.
+/// How long a receiver first waits before retrying an ack the applied
+/// watermark held back; each retry that finds the input quiet doubles the
+/// wait, up to the poll slice.
 constexpr int kAckRetryMs = 1;
 /// How long the sink holds a frame for company when its input is quiet:
 /// sends are batched on purpose, never by Nagle's ACK-timed hold
@@ -191,17 +192,22 @@ TcpTupleServer::FrameOutcome TcpTupleServer::handle_data(
 bool TcpTupleServer::serve_connection(int fd) {
   std::vector<std::uint8_t> buf(kRecvChunk);
   std::size_t fill = 0;
+  int ack_retry_ms = kAckRetryMs;
   while (!stop_requested()) {
-    // An ack the applied watermark held back is retried promptly;
-    // otherwise the poll slice only bounds how long a stop waits.
+    // An ack the applied watermark held back is retried promptly, then at
+    // doubling intervals, so a watermark that stays behind on a quiet
+    // stream costs a few wakeups, not a 1 kHz loop.  Otherwise the poll
+    // slice only bounds how long a stop waits.
     pollfd p{fd, POLLIN, 0};
     const int pr =
-        ::poll(&p, 1, applied_ > last_ack_sent_ ? kAckRetryMs : kPollSliceMs);
+        ::poll(&p, 1, applied_ > last_ack_sent_ ? ack_retry_ms : kPollSliceMs);
     if (pr < 0) return true;
     if (pr == 0) {
       if (!send_ack(fd, /*force=*/false)) return true;
+      ack_retry_ms = std::min(2 * ack_retry_ms, kPollSliceMs);
       continue;
     }
+    ack_retry_ms = kAckRetryMs;
     const ssize_t r = ::recv(fd, buf.data() + fill, buf.size() - fill, 0);
     if (r <= 0) {
       if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||

@@ -62,13 +62,12 @@ bool ShmTupleSink::open() {
 }
 
 bool ShmTupleSink::heal() {
-  // Heal as soon as a (new) consumer is alive: a full ring is then
-  // backpressure (send() waits for room), not a reason to keep dropping.
-  // Until a consumer shows up the producer flows on and every drop is
-  // counted.
+  // Heal when a (new) consumer is alive and made room; until then the
+  // producer flows on and every drop is counted.
   beat();
   return watch_.observe(prod_->consumer(), options_.peer_timeout) ==
-         PeerWatch::State::kAlive;
+             PeerWatch::State::kAlive &&
+         !prod_->full();
 }
 
 bool ShmTupleSink::wait_for_room() {
@@ -167,11 +166,6 @@ std::uint64_t ShmTupleSink::flush() {
   // count a tuple as acked and lossy at once.
   const std::uint64_t tail = prod_->tail();
   acked_.store(tail, std::memory_order_relaxed);
-  // A consumer that confirmed everything committed is a healthy link, even
-  // when the input ended before the run loop saw it attach.
-  if (tail > 0 && tail == prod_->head()) {
-    degraded_.store(false, std::memory_order_relaxed);
-  }
   return prod_->head() - tail;
 }
 

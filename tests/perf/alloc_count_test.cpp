@@ -411,7 +411,7 @@ std::uint64_t full_pipeline_allocations(std::size_t tuples, bool masked,
     // link happens to back up: prefill it (every channel full) so the two
     // runs differ in stream length only.
     cfg.transport.enabled = true;
-    cfg.arena_capacity = 5 * cfg.channel_capacity + 4 * (8 + 4) + 64;
+    cfg.arena_capacity = app::arena_shares(cfg).total();
   }
   app::StreamingPcaPipeline pipeline(cfg, std::move(data), std::move(masks));
 

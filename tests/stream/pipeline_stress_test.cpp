@@ -19,9 +19,10 @@ using pca::testing::draw;
 using pca::testing::make_model;
 using stats::Rng;
 
-std::vector<linalg::Vector> make_data(std::size_t n, std::uint64_t seed) {
+std::vector<linalg::Vector> make_data(std::size_t n, std::uint64_t seed,
+                                      std::size_t dim = 12) {
   Rng rng(seed);
-  const auto model = make_model(rng, 12, 2, 2.0, 0.05);
+  const auto model = make_model(rng, dim, 2, 2.0, 0.05);
   std::vector<linalg::Vector> out;
   for (std::size_t i = 0; i < n; ++i) out.push_back(draw(model, rng));
   return out;
@@ -265,6 +266,35 @@ TEST(PipelineStress, DefaultArenaNeverGrowsOverAFullRun) {
   // 4 ports x 16 + 4 x (8 + 4) staging + 64 slack.
   EXPECT_EQ(source.num("arena_preallocated"), 176.0);
   EXPECT_EQ(source.num("arena_grown"), 0.0);
+  std::uint64_t applied = 0;
+  for (const auto& s : p.engine_stats()) applied += s.tuples;
+  EXPECT_EQ(applied, 20000u);
+}
+
+// ---------------------------------------------------------------------------
+// Behind TCP the default pool prefills only the staging share and grows the
+// channels' share on demand.  Grown slabs stay in the pool, so an
+// unthrottled run whose engine ports back up behind the link (about 700 of
+// the 768 slabs grow) grows it by at most the channels' share.
+
+TEST(PipelineStress, DefaultTcpArenaGrowsAtMostTheChannelShare) {
+  PipelineConfig cfg;
+  cfg.pca.dim = 64;
+  cfg.pca.rank = 4;
+  cfg.engines = 2;
+  cfg.channel_capacity = 256;  // engine ports back up behind the link
+  cfg.sync_rate_hz = 50.0;
+  cfg.independence_fallback = 200;
+  cfg.transport.enabled = true;
+  const ArenaShares shares = arena_shares(cfg);
+  StreamingPcaPipeline p(cfg, make_data(20000, 943, 64));
+  p.run();
+
+  const JsonValue root = JsonParser::parse(p.metrics_json());
+  const JsonValue& source = index_by_name(root.at("operators")).at("source")
+                                ->at("extras");
+  EXPECT_EQ(source.num("arena_preallocated"), double(shares.staging));
+  EXPECT_LE(source.num("arena_grown"), double(shares.channels));
   std::uint64_t applied = 0;
   for (const auto& s : p.engine_stats()) applied += s.tuples;
   EXPECT_EQ(applied, 20000u);

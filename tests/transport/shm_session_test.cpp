@@ -367,10 +367,20 @@ TEST(ShmSession, DegradedWithoutConsumerThenHealsOnAttach) {
   ASSERT_TRUE(sink.counters().degraded) << "sink never degraded";
   EXPECT_GE(sink.counters().blocked_waits, 1u);
 
-  // A consumer finally attaches: the sink heals and the rest flows.
+  // A consumer finally attaches: the sink heals and the rest flows.  The
+  // second half is fed only once the sink has healed, so a server thread
+  // the scheduler starts late cannot leave phase two to a sink that still
+  // (correctly) has no consumer to send to.
   auto out = make_channel<DataTuple>(256);
   ShmTupleServer server("downlink", seg, out, opts);
   server.start();
+  const auto heal_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (sink.counters().degraded &&
+         std::chrono::steady_clock::now() < heal_deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  ASSERT_FALSE(sink.counters().degraded) << "sink never healed on attach";
   std::thread feeder2([&] {
     for (std::uint64_t i = kN / 2; i < kN; ++i) {
       DataTuple t = make_tuple(i, kDim);
@@ -389,6 +399,8 @@ TEST(ShmSession, DegradedWithoutConsumerThenHealsOnAttach) {
   EXPECT_EQ(sc.acked + sc.lossy_dropped, sc.accepted)
       << "conservation must close exactly";
   EXPECT_FALSE(sc.degraded) << "the heal must stick";
+  EXPECT_GE(sc.acked, opts.ring_capacity + kN / 2)
+      << "all of phase two must be delivered";
   EXPECT_EQ(got.size(), sc.acked);
   EXPECT_EQ(server.counters().delivered, sc.acked);
 }
