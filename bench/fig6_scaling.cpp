@@ -28,6 +28,7 @@
 
 #include "app/pipeline.h"
 #include "bench/bench_util.h"
+#include "bench/pipeline_run.h"
 #include "cluster/scaling_model.h"
 #include "src/perf/alloc_probe.h"
 #include "stats/rng.h"
@@ -43,23 +44,23 @@ namespace {
 // --json <path>) so plots and regressions can consume the per-operator
 // breakdown the profiler tables in §III-D are built from.
 /// Steady-state pipeline summary: one row per engine count, carrying the
-/// hot-path numbers (split-side tuples/sec, end-to-end applied tuples/sec,
+/// hot-path numbers (end-to-end applied tuples/sec, split-side tuples/sec,
 /// time to result and whole-process heap allocations per tuple) that
 /// BENCH_fig6.json tracks across PRs.
 ///
 /// Methodology:
-///  - `tuples_per_sec` is the split operator's enqueue rate (what
-///    check_regression.py gates), the best of kTrials identical runs: the
-///    box the bench runs on is often a single core, so one run's number is
-///    mostly a scheduler roll; the max is the stable upper envelope.
-///  - `applied_tps` is engine-applied tuples / (first emit -> last apply)
-///    and `time_to_result_s` is first emit -> wait() returned, each the
-///    best of kTrials separate timed runs.  First emit is taken at start():
-///    the replay source is unpaced and emits as soon as its thread runs.
-///    The last apply is when a 200 us poll of engine_stats() first reads
-///    the final applied count.  The poll runs only in the timed runs: at
-///    e >= 2 the split enqueues all N tuples in about 2 ms, and a poller
-///    thread competing for the cores halved its rate.
+///  - `applied_tps` (what check_regression.py gates) is engine-applied
+///    tuples / (first emit -> last apply) and `time_to_result_s` is first
+///    emit -> wait() returned, each the best of kTrials separate timed
+///    runs (bench/pipeline_run.h): one run's number is mostly a scheduler
+///    roll; the max is the stable upper envelope.
+///  - `split_enqueue_tps` is the split operator's enqueue rate, the best
+///    of kTrials untimed runs, reported but not gated.  It measures how
+///    fast the split fills the engine ports, so it tracks the applied rate
+///    only once the ports are full: with 1024-slot ports, e >= 2 enqueued
+///    all N tuples in about 2 ms (1.03M t/s against 16k applied).  The
+///    timed runs' 200 us poller competes for the cores, so the split rate
+///    is taken from runs without it.
 ///  - Each split-rate and timed run starts after kSettle of idle time.
 ///    Until pipelines stopped promptly, every run ended with a mostly idle
 ///    0.5 s sync-throttle tail, and the committed split rates were measured
@@ -77,7 +78,7 @@ namespace {
 struct MeasuredRow {
   std::size_t engines = 0;
   std::size_t batch_max = 1;  ///< engine micro-batch cap (DESIGN.md)
-  double tuples_per_sec = 0.0;
+  double split_enqueue_tps = 0.0;
   double applied_tps = 0.0;
   double time_to_result_s = 0.0;
   double allocs_per_tuple = 0.0;
@@ -101,67 +102,25 @@ enum class RunKind {
   kAllocs,     ///< allocation count only
 };
 
-/// One pipeline execution.  Only timed runs poll engine_stats(): each poll
-/// allocates and takes the engines' state locks.
+/// One pipeline execution.  Only timed runs poll engine_stats()
+/// (run_timed): each poll allocates and takes the engines' state locks.
 RunResult run_once(const astro::app::PipelineConfig& cfg,
                    const std::vector<astro::linalg::Vector>& data,
                    RunKind kind) {
-  const bool timed = kind == RunKind::kTimed;
-  using Clock = std::chrono::steady_clock;
   astro::app::StreamingPcaPipeline p(cfg, data);
-  std::uint64_t applied = 0;
-  Clock::time_point last_apply{};
-  std::jthread poller;
   astro::perf::AllocWindow window;
-  const auto t_start = Clock::now();
-  p.start();
-  if (timed) {
-    poller = std::jthread([&](std::stop_token st) {
-      for (;;) {
-        const bool last = st.stop_requested();
-        std::uint64_t sum = 0;
-        for (const auto& s : p.engine_stats()) sum += s.tuples;
-        if (sum != applied) {
-          applied = sum;
-          last_apply = Clock::now();
-        }
-        if (last) break;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    });
-  }
-  p.wait();
-  const auto t_done = Clock::now();
   RunResult r;
-  r.allocs = window.allocations();
-  if (timed) {
-    poller.request_stop();
-    poller.join();
-    const auto secs = [&](Clock::time_point t) {
-      return std::chrono::duration<double>(t - t_start).count();
-    };
-    r.applied_tps = double(applied) / secs(std::min(last_apply, t_done));
-    r.time_to_result_s = secs(t_done);
+  if (kind == RunKind::kTimed) {
+    const astro::bench::AppliedTiming timing = astro::bench::run_timed(p);
+    r.applied_tps = timing.applied_tps;
+    r.time_to_result_s = timing.time_to_result_s;
+  } else {
+    p.run();
   }
+  r.allocs = window.allocations();
   r.tps = p.throughput();
   r.snap = p.metrics_registry().snapshot();
-  // Every emitted tuple is applied or quarantined; anything else means the
-  // rates above describe a different stream than the one emitted.
-  std::uint64_t engine_applied = 0;
-  for (const auto& s : p.engine_stats()) engine_applied += s.tuples;
-  const std::uint64_t quarantined =
-      p.validator() != nullptr ? p.validator()->quarantined() : 0;
-  const auto* source = r.snap.find_operator("source");
-  const std::uint64_t emitted = source != nullptr ? source->tuples_out : 0;
-  if (engine_applied + quarantined != emitted) {
-    std::fprintf(stderr,
-                 "fig6: conservation violated: applied %llu + quarantined "
-                 "%llu != emitted %llu\n",
-                 static_cast<unsigned long long>(engine_applied),
-                 static_cast<unsigned long long>(quarantined),
-                 static_cast<unsigned long long>(emitted));
-    std::abort();
-  }
+  astro::bench::require_conservation(p, "fig6");
   if (const auto* ctl = r.snap.find_operator("sync-controller")) {
     for (const auto& [k, v] : ctl->extras) {
       if (k == "rounds") r.rounds = v;
@@ -403,11 +362,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < measured.size(); ++i) {
     std::snprintf(buf, sizeof(buf),
                   "%s{\"engines\":%zu,\"batch_max\":%zu,"
-                  "\"tuples_per_sec\":%.1f,\"applied_tps\":%.1f,"
+                  "\"applied_tps\":%.1f,\"split_enqueue_tps\":%.1f,"
                   "\"time_to_result_s\":%.4f,"
                   "\"allocs_per_tuple\":%.1f,\"sync_rounds\":%.0f}",
                   i ? "," : "", measured[i].engines, measured[i].batch_max,
-                  measured[i].tuples_per_sec, measured[i].applied_tps,
+                  measured[i].applied_tps, measured[i].split_enqueue_tps,
                   measured[i].time_to_result_s, measured[i].allocs_per_tuple,
                   measured[i].sync_rounds);
     summary += buf;

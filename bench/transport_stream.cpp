@@ -7,15 +7,22 @@
 // TcpTupleServer link with no PCA behind it.  Rows land in
 // BENCH_transport.json, keyed by the "transport" field;
 // bench/check_regression.py gates a fresh run against the committed
-// baseline — throughput within tolerance for every row, allocs/tuple
+// baseline — applied rate within tolerance for every row, allocs/tuple
 // still zero on the local, shm and tcp rows (every carrier keeps the arena
 // engaged end to end: its sink releases each slab once the frame is
 // encoded, its server decodes into leased slabs).
 //
-// Methodology matches fig6_scaling: tuples_per_sec is the best of kTrials
-// runs (upper envelope vs scheduler noise); allocs_per_tuple is the
-// differential steady-state rate ((allocs_long - allocs_base) / extra).
+// Methodology matches fig6_scaling: applied_tps (the gated rate) is
+// engine-applied tuples / (first emit -> last apply), the best of kTrials
+// runs (upper envelope vs scheduler noise), and every run aborts unless
+// applied + quarantined == emitted; split_enqueue_tps is the split's
+// enqueue rate in the same runs, reported but not gated; allocs_per_tuple
+// is the differential steady-state rate ((allocs_long - allocs_base) /
+// extra).  The wire row has no engines: its applied_tps is the counting
+// sink's delivered tuples per second.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -24,6 +31,7 @@
 
 #include "app/pipeline.h"
 #include "bench/bench_util.h"
+#include "bench/pipeline_run.h"
 #include "src/perf/alloc_probe.h"
 #include "stats/rng.h"
 #include "stream/graph.h"
@@ -43,17 +51,25 @@ enum class Kind { kLocal, kTcp, kShm };
 struct Row {
   std::string transport;  // "local" | "shm" | "tcp" | "wire"
   std::size_t engines = 0;
-  double tuples_per_sec = 0.0;
+  double applied_tps = 0.0;
+  double split_enqueue_tps = 0.0;
   double allocs_per_tuple = 0.0;
 };
 
 struct RunResult {
-  double tps = 0.0;
+  double applied_tps = 0.0;
+  double split_enqueue_tps = 0.0;
   std::uint64_t allocs = 0;
 };
 
+enum class RunKind {
+  kTimed,   ///< applied and split rates (polls engine_stats())
+  kAllocs,  ///< allocation count only
+};
+
 RunResult run_pipeline(Kind kind, std::size_t engines,
-                       const std::vector<astro::linalg::Vector>& data) {
+                       const std::vector<astro::linalg::Vector>& data,
+                       RunKind run_kind) {
   astro::app::PipelineConfig cfg;
   cfg.pca.dim = kDim;
   cfg.pca.rank = 4;
@@ -65,16 +81,18 @@ RunResult run_pipeline(Kind kind, std::size_t engines,
     cfg.transport.kind = astro::app::PipelineConfig::TransportOptions::Kind::kShm;
     cfg.transport.shm.ring_capacity = 1024;
   }
-  if (kind == Kind::kTcp) {
-    // The TCP default grows the pool's channel share on demand, as fast as
-    // the link backs up; prefill it like the other rows (every channel
-    // full) so the differential allocs count the recycle loop only.
-    cfg.arena_capacity = astro::app::arena_shares(cfg).total();
-  }
   astro::app::StreamingPcaPipeline p(cfg, data);
   astro::perf::AllocWindow window;
-  p.run();
-  return {p.throughput(), window.allocations()};
+  RunResult r;
+  if (run_kind == RunKind::kTimed) {
+    r.applied_tps = astro::bench::run_timed(p).applied_tps;
+  } else {
+    p.run();
+  }
+  r.allocs = window.allocations();
+  r.split_enqueue_tps = p.throughput();
+  astro::bench::require_conservation(p, "transport_stream");
+  return r;
 }
 
 /// Raw link rate: replay -> TcpTupleSink ==loopback==> TcpTupleServer ->
@@ -126,21 +144,25 @@ int main(int argc, char** argv) {
 
   std::printf("=== Transport stage throughput (d = %zu, N = %zu, best of %d) "
               "===\n\n", kDim, kTuples, kTrials);
-  std::printf("%10s %8s %14s %14s\n", "transport", "engines", "tuples/s",
-              "allocs/tuple");
+  std::printf("%10s %8s %14s %14s %14s\n", "transport", "engines",
+              "applied (t/s)", "split (t/s)", "allocs/tuple");
 
   std::vector<Row> rows;
   for (const Kind kind : {Kind::kLocal, Kind::kShm, Kind::kTcp}) {
     for (const std::size_t engines : {std::size_t(1), std::size_t(2)}) {
       RunResult best;
       for (int t = 0; t < kTrials; ++t) {
-        const RunResult r = run_pipeline(kind, engines, base);
-        if (r.tps > best.tps) best = r;
+        const RunResult r = run_pipeline(kind, engines, base, RunKind::kTimed);
+        best.applied_tps = std::max(best.applied_tps, r.applied_tps);
+        best.split_enqueue_tps =
+            std::max(best.split_enqueue_tps, r.split_enqueue_tps);
       }
       // Differential allocs: gated on every pipeline row (each keeps the
       // arena engaged).
-      const RunResult short_run = run_pipeline(kind, engines, base);
-      const RunResult long_run = run_pipeline(kind, engines, data);
+      const RunResult short_run =
+          run_pipeline(kind, engines, base, RunKind::kAllocs);
+      const RunResult long_run =
+          run_pipeline(kind, engines, data, RunKind::kAllocs);
       double allocs_per_tuple =
           long_run.allocs <= short_run.allocs
               ? 0.0
@@ -153,9 +175,10 @@ int main(int argc, char** argv) {
       const char* label = kind == Kind::kLocal ? "local"
                           : kind == Kind::kShm ? "shm"
                                                : "tcp";
-      std::printf("%10s %8zu %14.0f %14.2f\n", label, engines, best.tps,
-                  allocs_per_tuple);
-      rows.push_back({label, engines, best.tps, allocs_per_tuple});
+      std::printf("%10s %8zu %14.0f %14.0f %14.2f\n", label, engines,
+                  best.applied_tps, best.split_enqueue_tps, allocs_per_tuple);
+      rows.push_back({label, engines, best.applied_tps,
+                      best.split_enqueue_tps, allocs_per_tuple});
     }
   }
 
@@ -163,8 +186,9 @@ int main(int argc, char** argv) {
   for (int t = 0; t < kTrials; ++t) {
     wire_best = std::max(wire_best, run_wire(base));
   }
-  std::printf("%10s %8d %14.0f %14s\n", "wire", 0, wire_best, "-");
-  rows.push_back({"wire", 0, wire_best, 0.0});
+  std::printf("%10s %8d %14.0f %14s %14s\n", "wire", 0, wire_best, "-",
+              "-");
+  rows.push_back({"wire", 0, wire_best, 0.0, 0.0});
 
   std::string json = "{\"bench\":\"transport\",\"dim\":" +
                      std::to_string(kDim) +
@@ -172,12 +196,14 @@ int main(int argc, char** argv) {
                      ",\"current\":{\"measured\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (i) json += ',';
-    char buf[192];
+    char buf[224];
     std::snprintf(buf, sizeof(buf),
                   "{\"transport\":\"%s\",\"engines\":%zu,"
-                  "\"tuples_per_sec\":%.0f,\"allocs_per_tuple\":%.3f}",
+                  "\"applied_tps\":%.0f,\"split_enqueue_tps\":%.0f,"
+                  "\"allocs_per_tuple\":%.3f}",
                   rows[i].transport.c_str(), rows[i].engines,
-                  rows[i].tuples_per_sec, rows[i].allocs_per_tuple);
+                  rows[i].applied_tps, rows[i].split_enqueue_tps,
+                  rows[i].allocs_per_tuple);
     json += buf;
   }
   json += "]}}";

@@ -149,19 +149,9 @@ void StreamingPcaPipeline::build(const PipelineConfig& config) {
   // a ring slot or the TCP frame ring), and its server decodes into
   // arena-leased tuples, so the recycle loop closes across the boundary.
   if (config.pca.dim > 0) {
-    std::size_t slabs = config.arena_capacity;
-    if (slabs == 0) {
-      // Behind TCP the channels' share is grown on demand instead (at most
-      // once; arena_grown counts it): prefilling 2 x 1024 slabs at d = 64
-      // doubled the TCP pipeline's setup time and added 1 MB of RSS, for
-      // queues that stay nearly empty at the link's operating point
-      // (DESIGN.md "Batching on the wire").
-      const ArenaShares shares = arena_shares(config);
-      const bool tcp_transport =
-          config.transport.enabled &&
-          config.transport.kind == PipelineConfig::TransportOptions::Kind::kTcp;
-      slabs = tcp_transport ? shares.staging : shares.total();
-    }
+    const std::size_t slabs = config.arena_capacity != 0
+                                  ? config.arena_capacity
+                                  : arena_shares(config).total();
     arena_ = std::make_unique<stream::TupleArena>(config.pca.dim, slabs);
   }
 

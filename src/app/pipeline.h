@@ -59,7 +59,14 @@ struct PipelineConfig {
   double sync_rate_hz = 2.0;
   double independence_factor = 1.5;           ///< the paper's 1.5·N gate
   std::uint64_t independence_fallback = 10000; ///< used when alpha == 1
-  std::size_t channel_capacity = 1024;
+  /// Depth of each data channel (the engines' input ports, and the
+  /// source -> uplink queue behind a transport).  Sized for latency: a
+  /// tuple waits about engines x depth / rate in the engine ports, and a
+  /// full port does not stall the stream while another has room (the split
+  /// reroutes to the least loaded engine), so 32 slots keep the engines'
+  /// applied rate while a 1024-slot port added ~80 ms of ingest->apply
+  /// wait at the Fig. 6 point (EXPERIMENTS.md "Engine queue depth").
+  std::size_t channel_capacity = 32;
   /// Upper bound on the engines' micro-batch size (DESIGN.md
   /// "Micro-batching"): each drain takes min(queue depth, batch_max) tuples
   /// in one state-lock acquisition and absorbs them with one thin SVD, so
@@ -74,8 +81,8 @@ struct PipelineConfig {
   /// payload slabs; the source leases one per tuple, operators pass it by
   /// move, and the engines release it after apply — so at steady state the
   /// data plane allocates nothing per tuple.  0 (the default) prefills
-  /// arena_shares(): both shares, or behind TCP the staging share only (the
-  /// channels' share grows on demand); any other value is used verbatim.
+  /// arena_shares(config).total() for every carrier; any other value is
+  /// used verbatim.
   /// Undersizing degrades gracefully: an exhausted pool falls back to
   /// counted heap growth, never blocking.
   std::size_t arena_capacity = 0;

@@ -30,9 +30,9 @@
 // while the mutex is held.
 //
 // Fault injection belongs to the graph edge: a queue consults its
-// FaultEdge at the top of push/try_push, the fused split (stream/split.h)
-// at the top of route(), so a seeded schedule fires on the same attempts
-// on either kind of edge.
+// FaultEdge at the top of push (try_push once it has room), the fused
+// split (stream/split.h) at the top of route(), so a seeded schedule
+// fires on the same attempts on either kind of edge.
 
 #include <atomic>
 #include <chrono>
@@ -172,22 +172,29 @@ class BoundedQueue {
 
   /// Non-blocking push.  Returns false when full or closed; `item` is only
   /// consumed (moved from) on success, so callers can reroute on failure.
-  /// Injected drops consume the item and return true (lossy-link
-  /// semantics); injected delays are ignored — a non-blocking push cannot
-  /// be held.
+  /// Room is checked before the fault hook, so a refused push leaves
+  /// `item` untouched and uses up no fault attempt: only a push that lands
+  /// (or an injected drop) does.  Injected drops consume the item and
+  /// return true (lossy-link semantics); injected delays are ignored — a
+  /// non-blocking push cannot be held.
   bool try_push(T& item) {
-    if (!fault_.pass(item, /*may_delay=*/false)) {
-      T swallowed = std::move(item);  // consumed, as a real send would be
-      return true;
-    }
+    bool dropped = false;
     {
       std::lock_guard lock(mutex_);
       if (closed_ || count_ >= capacity_) {
         gauges_.rejected.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
-      put_locked(std::move(item));
-      note_depth_locked();
+      if (fault_.pass(item, /*may_delay=*/false)) {
+        put_locked(std::move(item));
+        note_depth_locked();
+      } else {
+        dropped = true;
+      }
+    }
+    if (dropped) {
+      T swallowed = std::move(item);  // consumed, as a real send would be
+      return true;
     }
     not_empty_.notify_one();
     return true;

@@ -327,6 +327,7 @@ void PcaEngineOperator::handle_control(const ControlTuple& cmd) {
       throw stream::InjectedCrash{};  // lock_guard unwinds the state mutex
     }
     const std::uint64_t local_count = pca_.eigensystem().observations();
+    const stats::RobustRunningSums local_sums = pca_.eigensystem().sums();
     // The live sync path uses the paper's eq. (16) equal-means fast path.
     // The exact eq. (15) mean-correction term would inject the transient
     // inter-engine mean gap as a spurious eigenvalue that the slow
@@ -338,11 +339,15 @@ void PcaEngineOperator::handle_control(const ControlTuple& cmd) {
     merge_opts.assume_equal_means = true;
     pca::EigenSystem merged =
         pca::merge(pca_.eigensystem(), *remote->system, merge_opts);
-    // The merge sums observation counts — correct when pooling final
-    // partitions, but a live engine keeps its *local* count: the remote
-    // history it just absorbed is shared state the forgetting factor will
-    // phase out, not tuples this engine consumed.
+    // The merge sums observation counts and the (u, v, q) weight sums —
+    // correct when pooling final partitions, but a live engine keeps its
+    // *local* count and sums: the remote history it just absorbed is
+    // shared state the forgetting factor will phase out, not tuples this
+    // engine consumed.  Pooled sums would also compound: each merge adds
+    // the peer's sums, which already hold ours, so at alpha = 1 (nothing
+    // decays them) they grow geometrically and overflow to inf.
     merged.set_observations(local_count);
+    merged.mutable_sums() = local_sums;
     pca_.set_eigensystem(std::move(merged));
     since_last_sync_ = 0;
     ++stats_.merges_applied;

@@ -405,14 +405,7 @@ std::uint64_t full_pipeline_allocations(std::size_t tuples, bool masked,
   cfg.batch_max = 8;
   cfg.validate_ingest = true;
   cfg.sync_rate_hz = 0.0;      // no control plane (see below)
-  cfg.channel_capacity = 128;  // keeps the arena prealloc modest
-  if (tcp) {
-    // Behind TCP the pool's channel share grows on demand, as fast as the
-    // link happens to back up: prefill it (every channel full) so the two
-    // runs differ in stream length only.
-    cfg.transport.enabled = true;
-    cfg.arena_capacity = app::arena_shares(cfg).total();
-  }
+  cfg.transport.enabled = tcp;
   app::StreamingPcaPipeline pipeline(cfg, std::move(data), std::move(masks));
 
   perf::AllocWindow window;

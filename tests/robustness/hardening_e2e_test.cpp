@@ -207,6 +207,9 @@ TEST(DataHardening, CorruptionRunIsSeedDeterministic) {
     cfg.engines = 2;
     cfg.split = stream::SplitStrategy::kRoundRobin;
     cfg.sync_rate_hz = 0.0;
+    // Per-engine counts are deterministic only while no port fills (a
+    // full port reroutes by timing): room for the whole stream.
+    cfg.channel_capacity = 4096;
     configure_strict_validation(cfg);
     cfg.fault_injector = std::make_shared<stream::FaultInjector>(113);
     cfg.fault_injector->corrupt_randomly("chan.source->validate", 0.02, 40);

@@ -272,12 +272,11 @@ TEST(PipelineStress, DefaultArenaNeverGrowsOverAFullRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Behind TCP the default pool prefills only the staging share and grows the
-// channels' share on demand.  Grown slabs stay in the pool, so an
-// unthrottled run whose engine ports back up behind the link (about 700 of
-// the 768 slabs grow) grows it by at most the channels' share.
+// Behind TCP the default pool is sized like every other carrier's: each
+// data channel full plus the staging share.  An unthrottled run whose
+// engine ports back up behind the link never grows it.
 
-TEST(PipelineStress, DefaultTcpArenaGrowsAtMostTheChannelShare) {
+TEST(PipelineStress, DefaultTcpArenaNeverGrows) {
   PipelineConfig cfg;
   cfg.pca.dim = 64;
   cfg.pca.rank = 4;
@@ -286,15 +285,15 @@ TEST(PipelineStress, DefaultTcpArenaGrowsAtMostTheChannelShare) {
   cfg.sync_rate_hz = 50.0;
   cfg.independence_fallback = 200;
   cfg.transport.enabled = true;
-  const ArenaShares shares = arena_shares(cfg);
   StreamingPcaPipeline p(cfg, make_data(20000, 943, 64));
   p.run();
 
   const JsonValue root = JsonParser::parse(p.metrics_json());
   const JsonValue& source = index_by_name(root.at("operators")).at("source")
                                 ->at("extras");
-  EXPECT_EQ(source.num("arena_preallocated"), double(shares.staging));
-  EXPECT_LE(source.num("arena_grown"), double(shares.channels));
+  EXPECT_EQ(source.num("arena_preallocated"),
+            double(arena_shares(cfg).total()));
+  EXPECT_EQ(source.num("arena_grown"), 0.0);
   std::uint64_t applied = 0;
   for (const auto& s : p.engine_stats()) applied += s.tuples;
   EXPECT_EQ(applied, 20000u);

@@ -1,9 +1,11 @@
 #include "stream/queue.h"
+#include "stream/tuple.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -231,6 +233,50 @@ TEST(BoundedQueue, TryPushDropConsumesItem) {
   EXPECT_TRUE(item.empty());  // moved-from: ownership transferred
   EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.gauges().faulted.load(), 1u);
+}
+
+TEST(BoundedQueue, RefusedTryPushUsesNoFaultAttempt) {
+  // A full queue refuses the push before its fault hook runs: the caller's
+  // tuple comes back undamaged (the split reroutes it to another engine's
+  // edge) and the attempt numbering only counts pushes that land, so the
+  // next push that does is attempt 1 and takes the damage.
+  BoundedQueue<DataTuple> q(1);
+  DataTuple filler;
+  filler.values = linalg::Vector(4, 1.0);
+  ASSERT_TRUE(q.try_push(filler));  // fills the only slot; no hook yet
+  std::vector<std::uint64_t> attempts;
+  q.set_fault_hook([&attempts](std::uint64_t attempt) {
+    attempts.push_back(attempt);
+    FaultDecision d;
+    if (attempt == 1) {
+      d.action = FaultAction::kCorrupt;
+      d.corruption = CorruptionKind::kNaN;
+    }
+    return d;
+  });
+
+  DataTuple t;
+  t.values = linalg::Vector(4, 2.0);
+  EXPECT_FALSE(q.try_push(t));  // full
+  EXPECT_TRUE(attempts.empty());
+  ASSERT_EQ(t.values.size(), 4u);
+  for (std::size_t i = 0; i < t.values.size(); ++i) {
+    EXPECT_EQ(t.values[i], 2.0) << i;  // untouched, not corrupted
+  }
+  EXPECT_EQ(q.gauges().corrupted.load(), 0u);
+  EXPECT_EQ(q.gauges().rejected.load(), 1u);
+
+  DataTuple out;
+  ASSERT_TRUE(q.pop(out));
+  EXPECT_TRUE(q.try_push(t));  // lands: attempt 1, corrupted
+  ASSERT_EQ(attempts, std::vector<std::uint64_t>{1});
+  EXPECT_EQ(q.gauges().corrupted.load(), 1u);
+  ASSERT_TRUE(q.pop(out));
+  bool has_nan = false;
+  for (std::size_t i = 0; i < out.values.size(); ++i) {
+    has_nan = has_nan || std::isnan(out.values[i]);
+  }
+  EXPECT_TRUE(has_nan);
 }
 
 TEST(BoundedQueue, ProducerConsumerTransfersEverything) {

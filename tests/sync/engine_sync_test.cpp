@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "app/pipeline.h"
+#include "pca/health.h"
 #include "pca/subspace.h"
 #include "stats/rng.h"
 #include "sync/exchange.h"
@@ -230,6 +231,49 @@ TEST(Pipeline, StopEndsEndlessGenerator) {
   std::uint64_t total = 0;
   for (const auto& s : stats) total += s.tuples;
   EXPECT_GT(total, 0u);
+}
+
+TEST(Pipeline, LiveMergesKeepLocalWeightSumsAtAlphaOne) {
+  // At alpha = 1 nothing decays the (u, v, q) weight sums.  A live merge
+  // that kept the pooled sums would add the peer's sums — which already
+  // hold this engine's — on every round, so they would grow geometrically
+  // and overflow to inf within a thousand merges.  Kept local, u counts
+  // this engine's own updates.
+  Rng rng(331);
+  const auto model = make_model(rng, 16, 2, 3.0, 0.02);
+  auto shared_rng = std::make_shared<Rng>(rng.split());
+  auto cfg = small_config(2);
+  cfg.pca.alpha = 1.0;
+  cfg.sync_rate_hz = 5000.0;
+  cfg.independence_fallback = 10;
+  StreamingPcaPipeline pipeline(
+      cfg, [model, shared_rng]() -> std::optional<linalg::Vector> {
+        return draw(model, *shared_rng);
+      });
+  const auto merges = [&pipeline] {
+    std::uint64_t n = 0;
+    for (const auto& s : pipeline.engine_stats()) n += s.merges_applied;
+    return n;
+  };
+  constexpr std::uint64_t kMerges = 1100;
+  pipeline.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (merges() < kMerges && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  pipeline.stop();
+  pipeline.wait();
+
+  ASSERT_GE(merges(), kMerges);
+  std::uint64_t applied = 0;
+  for (const auto& s : pipeline.engine_stats()) applied += s.tuples;
+  for (std::size_t i = 0; i < pipeline.engines(); ++i) {
+    const pca::EigenSystem e = pipeline.engine_snapshot(i);
+    EXPECT_LE(e.sums().u(), double(applied)) << i;
+    EXPECT_TRUE(pca::all_finite(e)) << i;
+  }
+  EXPECT_TRUE(pca::all_finite(pipeline.result()));
 }
 
 }  // namespace
